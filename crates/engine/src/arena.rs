@@ -63,25 +63,34 @@ fn inline_key(token: &[u8]) -> u64 {
     }
 }
 
-/// [`key8`] for a token borrowed from `hay`, loading 8 bytes in one shot
-/// and masking to the token length whenever the buffer extends far enough
-/// past the token start. The byte-shift loop in [`key8`] runs a
-/// data-dependent number of iterations and mispredicts on every length
-/// change; this path is branch-free for the common case.
+/// The 8 bytes at `hay[start..]` packed little-endian, zero-padded where the
+/// buffer ends first. One unconditional 8-byte load except in a buffer's
+/// last 7 bytes, where it falls back to the byte loop of [`key8`].
 ///
-/// `token` MUST be a subslice of `hay` — the offset is recovered from the
-/// borrow itself.
+/// One load serves two readers: the rider predicate index looks a token's
+/// leading bytes up in this word as it is, and [`lead8`] masks it down to
+/// the inline key of a short token.
+///
+/// # Panics
+/// Panics if `start` lies past the end of `hay`.
 #[inline]
-fn short_key_within(hay: &[u8], token: &[u8]) -> u64 {
-    debug_assert!(token.len() <= 8);
-    let start = token.as_ptr() as usize - hay.as_ptr() as usize;
-    debug_assert!(start + token.len() <= hay.len(), "token must borrow from hay");
-    if !token.is_empty() && start + 8 <= hay.len() {
-        let w = u64::from_le_bytes(hay[start..start + 8].try_into().unwrap());
-        w & (u64::MAX >> (64 - 8 * token.len()))
-    } else {
-        key8(token)
+pub(crate) fn load8(hay: &[u8], start: usize) -> u64 {
+    let tail = &hay[start..];
+    match tail.first_chunk::<8>() {
+        Some(chunk) => u64::from_le_bytes(*chunk),
+        None => key8(tail),
     }
+}
+
+/// [`key8`] of the `len`-byte token at `hay[start..]` (of its first 8 bytes
+/// when longer): [`load8`] masked to the token length. The byte-shift loop
+/// in [`key8`] runs a data-dependent number of iterations and mispredicts
+/// on every length change; this is branch-free for the common case.
+#[inline]
+fn lead8(hay: &[u8], start: usize, len: usize) -> u64 {
+    // `checked_shl` is `None` from 8 bytes up: nothing to mask off.
+    let beyond = u64::MAX.checked_shl(8 * len as u32).unwrap_or(0);
+    load8(hay, start) & !beyond
 }
 
 /// Table index seed: one multiply and a fold of the high bits (the low
@@ -157,18 +166,36 @@ impl<V> TokenMap<V> {
     /// [`upsert`](Self::upsert) for a token that borrows from `hay` (e.g. a
     /// token the scan kernel just carved out of a block): the inline key is
     /// built with one unconditional 8-byte load instead of a variable-length
-    /// byte loop. This is the scan engines' hot-loop entry point.
+    /// byte loop.
     ///
     /// # Panics
     /// May panic (or intern under a wrong key) if `token` is not actually a
     /// subslice of `hay`.
     #[inline]
     pub fn upsert_within(&mut self, hay: &[u8], token: &[u8], value: V, fold: impl FnOnce(&mut V, V)) {
-        let key = if token.len() <= 8 {
-            short_key_within(hay, token)
-        } else {
-            fxhash::hash64(token)
-        };
+        // `token` borrows from `hay`: the offset is recovered from the
+        // borrow itself.
+        let start = token.as_ptr() as usize - hay.as_ptr() as usize;
+        self.upsert_span(hay, start, token.len(), value, fold);
+    }
+
+    /// [`upsert_within`](Self::upsert_within) for the token
+    /// `hay[start..start + len]` — the fan-out kernel's hot-loop entry point,
+    /// which already holds tokens as `(offset, len)` spans of the block.
+    ///
+    /// # Panics
+    /// Panics if the span lies outside `hay`.
+    #[inline]
+    pub(crate) fn upsert_span(
+        &mut self,
+        hay: &[u8],
+        start: usize,
+        len: usize,
+        value: V,
+        fold: impl FnOnce(&mut V, V),
+    ) {
+        let token = &hay[start..start + len];
+        let key = if len <= 8 { lead8(hay, start, len) } else { fxhash::hash64(token) };
         self.upsert_keyed(token, key, value, fold);
     }
 
@@ -324,6 +351,38 @@ mod tests {
         });
         assert_eq!(got[&b"ab".to_vec()], 2);
         assert_eq!(got[&b"ab\x00".to_vec()], 10);
+    }
+
+    #[test]
+    fn block_tail_tokens_key_like_any_other() {
+        // The last 7 bytes of a buffer cannot take the 8-byte load; tokens
+        // there must intern under the same key as the same bytes mid-buffer.
+        let hay = b"abc tail   abc   wordlong8 tail abc";
+        let mut spans = Vec::new();
+        memchr::for_each_token(hay, |t| spans.push((t.as_ptr() as usize - hay.as_ptr() as usize, t.len())));
+        for &(start, len) in &spans {
+            let tok = &hay[start..start + len];
+            let want = if len >= 8 { key8(&tok[..8]) } else { key8(tok) };
+            assert_eq!(lead8(hay, start, len), want, "token at {start}");
+        }
+        let mut m = TokenMap::new();
+        for &(start, len) in &spans {
+            m.upsert_span(hay, start, len, 1i64, |a, n| *a += n);
+        }
+        let mut by_slice = TokenMap::new();
+        memchr::for_each_token(hay, |t| by_slice.upsert_within(hay, t, 1i64, |a, n| *a += n));
+        let mut got = BTreeMap::new();
+        m.drain_into(|tok, v| {
+            got.insert(tok.to_vec(), v);
+        });
+        let mut same = BTreeMap::new();
+        by_slice.drain_into(|tok, v| {
+            same.insert(tok.to_vec(), v);
+        });
+        assert_eq!(got, same);
+        assert_eq!(got[&b"abc".to_vec()], 3, "mid-buffer and tail occurrences fold together");
+        assert_eq!(got[&b"tail".to_vec()], 2);
+        assert_eq!(got[&b"wordlong8".to_vec()], 1);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! [`WorkerPool`] instead of respawning OS threads per phase.
 
 use crate::arena::TokenMap;
+use crate::fanout::{RiderIndex, Selection, TokenSink};
 use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
 use crate::store::BlockStore;
@@ -67,13 +68,17 @@ impl Default for ExecConfig {
 ///
 /// [`ScanPath::Kernel`] is the production path: blocks are borrowed `&[u8]`
 /// slices split by the vendored SWAR kernel (`memchr::lines` /
-/// `memchr::tokens`) and fed to the byte-level job entry points, with the
-/// token-identity arena fast path when the job declares it.
+/// `memchr::for_each_token`) and fed to the byte-level job entry points,
+/// with the token-identity arena fast path when the job declares it.
+/// Per-token jobs go through the rider fan-out kernel, which tokenizes a
+/// block once for all of them and hands each job only the tokens that start
+/// with its declared [`MapReduceJob::token_prefix`].
 ///
 /// [`ScanPath::Legacy`] is the pre-kernel `String` path kept as the
 /// byte-equality **oracle**: each block is UTF-8-converted (lossily for
 /// invalid bytes) and walked with `str::lines` / `split_whitespace` into the
-/// `&str` job entry points. The equivalence proptests run both and require
+/// `&str` job entry points — every job sees every token, no index, no
+/// declared prefix. The equivalence proptests run both and require
 /// byte-identical outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanPath {
@@ -118,22 +123,23 @@ pub(crate) fn partition_of<K: Hash>(key: &K, num_reducers: usize) -> usize {
 
 /// Run one job's map over one block on the chosen scan path.
 ///
-/// Kernel: borrowed byte slices through the SWAR line/token iterators into
-/// the byte-level entry points. Legacy: the pre-kernel behavior — UTF-8
-/// convert (lossily if invalid), `str::lines`, `&str` map.
+/// Kernel: borrowed byte slices into the byte-level entry points — per-token
+/// jobs through the fan-out kernel (`fan` indexes this one job as rider 0),
+/// line jobs through the SWAR line iterator. Legacy: the pre-kernel
+/// behavior — UTF-8 convert (lossily if invalid), `str::lines`, `&str` map.
 pub(crate) fn map_block<J: MapReduceJob>(
     job: &J,
     block: &[u8],
     scan_path: ScanPath,
+    fan: &RiderIndex,
+    sel: &mut Selection,
     emit: &mut dyn FnMut(J::K, J::V),
 ) {
     match scan_path {
         ScanPath::Kernel => {
             if job.map_is_per_token() {
-                // Whole-block tokenization is exact for per-token jobs:
-                // `\n`/`\r` are whitespace, so block tokens == the
-                // concatenation of every line's tokens.
-                memchr::for_each_token(block, |tok| job.map_token_bytes(tok, emit));
+                fan.select(block, sel);
+                fan.map_rider(sel, 0, job, block, TokenSink::Emit(emit));
             } else {
                 for line in memchr::lines(block) {
                     job.map_bytes(line, emit);
@@ -236,6 +242,8 @@ fn run_job_path<J: MapReduceJob>(
     let solo = num_threads == 1;
     let progress = WorkProgress::new(num_blocks);
     let fold = job.combine_is_fold();
+    let fan = RiderIndex::over([job], scan_path);
+    let fan = &fan;
 
     // ---- map phase ----
     let map_t0 = core.map(|c| c.tracer.now_us());
@@ -251,21 +259,18 @@ fn run_job_path<J: MapReduceJob>(
         let mut sketch = KeySketch::new();
         let mut emitted = 0u64;
         let mut bytes = 0u64;
+        let mut sel = Selection::default();
         if fold && scan_path == ScanPath::Kernel && job.map_emits_token() {
             // Token-identity fast path: fold under the raw token bytes in a
             // per-worker arena; each distinct token's key is built exactly
-            // once, at flush. Tokenizing the whole block (instead of per
-            // line) is exact because `\n`/`\r` are whitespace.
+            // once, at flush.
             let mut local: TokenMap<J::V> = TokenMap::new();
             while let Some(idx) = claims.claim() {
                 let block = store.block(idx);
                 bytes += block.len() as u64;
-                memchr::for_each_token(block, |tok| {
-                    if let Some(v) = job.token_value(tok) {
-                        emitted += 1;
-                        local.upsert_within(block, tok, v, |acc, next| job.combine_fold(acc, next));
-                    }
-                });
+                fan.select(block, &mut sel);
+                let sink = TokenSink::Arena { map: &mut local, emitted: &mut emitted };
+                fan.map_rider(&sel, 0, job, block, sink);
             }
             local.drain_into(|tok, v| {
                 let k = job.token_key(tok);
@@ -296,7 +301,7 @@ fn run_job_path<J: MapReduceJob>(
                 while let Some(idx) = claims.claim() {
                     let block = store.block(idx);
                     bytes += block.len() as u64;
-                    map_block(job, block, scan_path, &mut sink);
+                    map_block(job, block, scan_path, fan, &mut sel, &mut sink);
                 }
             }
             for (k, v) in local {
@@ -314,7 +319,7 @@ fn run_job_path<J: MapReduceJob>(
                 bytes += block.len() as u64;
                 // Block-local grouping so the combiner can fold.
                 let mut local: FxHashMap<J::K, Vec<J::V>> = FxHashMap::default();
-                map_block(job, block, scan_path, &mut |k, v| {
+                map_block(job, block, scan_path, fan, &mut sel, &mut |k, v| {
                     emitted += 1;
                     local.entry(k).or_default().push(v);
                 });

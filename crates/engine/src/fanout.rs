@@ -1,0 +1,348 @@
+//! The shared scan's inner loop: one tokenization and one predicate lookup
+//! per token for **all** co-riding jobs, so that rider N+1 pays for the
+//! tokens it could match, not for another pass over every token.
+//!
+//! A [`RiderIndex`] is built over the per-token jobs of one shared scan
+//! (one segment of a server, one `run_merged`/`run_job` call) from the
+//! prefixes they declare ([`MapReduceJob::token_prefix`]). It holds one
+//! 256-entry table of rider bitmasks per leading byte position; AND-ing
+//! the entries a token's leading bytes select yields the riders whose
+//! prefix the token starts with. Mapping a block is then two phases:
+//!
+//! 1. [`RiderIndex::select`] tokenizes the block once into `(offset, len)`
+//!    spans and appends each to the selection vector of every candidate
+//!    rider — a load, one lookup per indexed position and a test per token,
+//!    whatever the number of riders (one more such pass per 64 of them);
+//! 2. [`RiderIndex::map_rider`], once per rider, confirms each candidate
+//!    with the job's own map code and folds what it emits.
+//!
+//! The index only ever *narrows*: a candidate is still confirmed by
+//! `token_value` / `map_token_bytes`, so false positives (a 9-byte prefix
+//! indexed on its first 8 bytes) cost a call, and jobs that declare nothing
+//! read the vector of all tokens, exactly the pass they made before.
+//! Keeping the second phase rider-major keeps the callers' per-(job, block)
+//! panic quarantine and their per-job `emitted` counts where they were.
+
+use crate::arena::{load8, TokenMap};
+use crate::exec::ScanPath;
+use crate::types::MapReduceJob;
+
+/// One token of a block: `(offset, length)`.
+type Span = (usize, usize);
+
+/// Leading token bytes the index can discriminate on: what one
+/// [`load8`] holds.
+const MAX_DEPTH: usize = 8;
+
+/// How one rider of the scan gets its tokens.
+#[derive(Clone, Copy)]
+enum Route {
+    /// Maps whole lines; never enters the kernel.
+    Line,
+    /// Per-token without a prefix: reads the shared all-token vector.
+    Every,
+    /// Per-token with a prefix: owns bit `n` of the masks and selection
+    /// vector `n`.
+    Slot(usize),
+}
+
+/// Bit-parallel predicate index over the riders of one shared scan.
+pub(crate) struct RiderIndex {
+    /// One route per rider, in the caller's job order.
+    routes: Vec<Route>,
+    /// Riders with a [`Route::Slot`].
+    slots: usize,
+    /// Byte positions indexed: the longest prefix, capped at [`MAX_DEPTH`].
+    depth: usize,
+    /// One 256-entry mask table per (mask word, position), laid out
+    /// `[word][position][byte]`: bit `n % 64` of word `n / 64` is set iff
+    /// slot `n`'s prefix has that byte at that position or ends before it.
+    tables: Vec<[u64; 256]>,
+}
+
+/// Per-worker scratch of [`RiderIndex::select`], reused from block to block.
+#[derive(Default)]
+pub(crate) struct Selection {
+    /// Every token of the block, in block order: what prefix-less riders
+    /// map, and what the slot lookup walks.
+    every: Vec<Span>,
+    /// Candidate tokens per slot, in block order.
+    slots: Vec<Vec<Span>>,
+}
+
+/// Where a rider's confirmed tokens go.
+pub(crate) enum TokenSink<'a, J: MapReduceJob> {
+    /// Token-identity jobs ([`MapReduceJob::map_emits_token`]): confirm with
+    /// `token_value`, count, fold under the raw token bytes.
+    Arena {
+        /// The rider's arena accumulator.
+        map: &'a mut TokenMap<J::V>,
+        /// The rider's map-output record count.
+        emitted: &'a mut u64,
+    },
+    /// Every other per-token job: `map_token_bytes` into the caller's emit.
+    Emit(&'a mut dyn FnMut(J::K, J::V)),
+}
+
+impl RiderIndex {
+    /// Index `jobs` for one shared scan. On [`ScanPath::Legacy`] — the
+    /// unindexed oracle — nothing routes into the kernel.
+    pub(crate) fn over<'j, J: MapReduceJob + 'j>(
+        jobs: impl IntoIterator<Item = &'j J>,
+        scan_path: ScanPath,
+    ) -> Self {
+        Self::new(jobs.into_iter().map(|job| {
+            (scan_path == ScanPath::Kernel && job.map_is_per_token()).then(|| job.token_prefix())
+        }))
+    }
+
+    /// One entry per rider: `None` for a line rider, else its prefix.
+    fn new<'p>(riders: impl IntoIterator<Item = Option<&'p [u8]>>) -> Self {
+        let mut prefixes: Vec<&[u8]> = Vec::new();
+        let routes: Vec<Route> = riders
+            .into_iter()
+            .map(|rider| match rider {
+                None => Route::Line,
+                Some([]) => Route::Every,
+                Some(prefix) => {
+                    prefixes.push(prefix);
+                    Route::Slot(prefixes.len() - 1)
+                }
+            })
+            .collect();
+        let slots = prefixes.len();
+        let words = slots.div_ceil(64);
+        let depth = prefixes
+            .iter()
+            .map(|p| p.len())
+            .max()
+            .unwrap_or(1)
+            .min(MAX_DEPTH);
+        let mut tables = vec![[0u64; 256]; words * depth];
+        for (slot, prefix) in prefixes.iter().enumerate() {
+            let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+            for pos in 0..depth {
+                let accepted = match prefix.get(pos) {
+                    Some(&b) => b as usize..=b as usize,
+                    None => 0..=255,
+                };
+                for byte in accepted {
+                    tables[word * depth + pos][byte] |= bit;
+                }
+            }
+        }
+        RiderIndex {
+            routes,
+            slots,
+            depth,
+            tables,
+        }
+    }
+
+    /// Phase 1: tokenize `block` once (`\n`/`\r` are whitespace, so block
+    /// tokens == every line's tokens concatenated) and hand each token to
+    /// the riders whose prefix it starts with.
+    ///
+    /// The lookup reads the 8 bytes at the token's start as they are, not
+    /// cut to its length: past a token shorter than the indexed depth comes
+    /// whitespace (or [`load8`]'s zero padding at the block's end), which
+    /// only a prefix that ended earlier — or one no token can start with —
+    /// accepts.
+    pub(crate) fn select(&self, block: &[u8], sel: &mut Selection) {
+        let Selection { every, slots } = sel;
+        every.clear();
+        slots.resize_with(self.slots, Vec::new);
+        slots.iter_mut().for_each(Vec::clear);
+        if self.routes.iter().all(|r| matches!(r, Route::Line)) {
+            return;
+        }
+        let base = block.as_ptr() as usize;
+        memchr::for_each_token(block, |token| {
+            every.push((token.as_ptr() as usize - base, token.len()));
+        });
+        // One pass over the tokens per 64 riders keeps the loop to a load,
+        // `depth` lookups and a test.
+        for (positions, slots) in self
+            .tables
+            .chunks_exact(self.depth)
+            .zip(slots.chunks_mut(64))
+        {
+            for &span in every.iter() {
+                let mut bytes = load8(block, span.0);
+                let mut mask = u64::MAX;
+                for table in positions {
+                    mask &= table[bytes as u8 as usize];
+                    bytes >>= 8;
+                }
+                while mask != 0 {
+                    slots[mask.trailing_zeros() as usize].push(span);
+                    mask &= mask - 1;
+                }
+            }
+        }
+    }
+
+    /// Phase 2 for one rider: run `job`'s own map code over the tokens
+    /// [`select`](Self::select) picked for it out of `block`.
+    ///
+    /// Runs user code, which may panic; callers that quarantine wrap each
+    /// call in their per-(job, block) `catch_unwind`.
+    pub(crate) fn map_rider<J: MapReduceJob>(
+        &self,
+        sel: &Selection,
+        rider: usize,
+        job: &J,
+        block: &[u8],
+        sink: TokenSink<'_, J>,
+    ) {
+        let candidates = match self.routes[rider] {
+            Route::Line => unreachable!("line riders never enter the token kernel"),
+            Route::Every => &sel.every,
+            Route::Slot(n) => {
+                if cfg!(debug_assertions) {
+                    check_rejected(job, block, &sel.every, &sel.slots[n], &sink);
+                }
+                &sel.slots[n]
+            }
+        };
+        match sink {
+            TokenSink::Arena { map, emitted } => {
+                for &(start, len) in candidates {
+                    if let Some(v) = job.token_value(&block[start..start + len]) {
+                        *emitted += 1;
+                        map.upsert_span(block, start, len, v, |acc, next| {
+                            job.combine_fold(acc, next)
+                        });
+                    }
+                }
+            }
+            TokenSink::Emit(emit) => {
+                for &(start, len) in candidates {
+                    job.map_token_bytes(&block[start..start + len], emit);
+                }
+            }
+        }
+    }
+}
+
+/// The debug-build guard on [`MapReduceJob::token_prefix`]: run the job on
+/// every token the index kept from it and panic if one emits — a job whose
+/// declared prefix is stronger than its filter would otherwise lose those
+/// records without a trace.
+fn check_rejected<J: MapReduceJob>(
+    job: &J,
+    block: &[u8],
+    every: &[Span],
+    candidates: &[Span],
+    sink: &TokenSink<'_, J>,
+) {
+    // Both vectors are in block order and `candidates` is a subsequence.
+    let mut kept = candidates.iter().peekable();
+    for span in every {
+        if kept.peek() == Some(&span) {
+            kept.next();
+            continue;
+        }
+        let token = &block[span.0..span.0 + span.1];
+        let emits = match sink {
+            TokenSink::Arena { .. } => job.token_value(token).is_some(),
+            TokenSink::Emit(_) => {
+                let mut any = false;
+                job.map_token_bytes(token, &mut |_, _| any = true);
+                any
+            }
+        };
+        assert!(
+            !emits,
+            "job declares token_prefix {:?} but emits for token {:?}",
+            String::from_utf8_lossy(job.token_prefix()),
+            String::from_utf8_lossy(token),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The tokens each rider is handed, against a plain `starts_with` per
+    /// rider: every matching token is a candidate, in block order, and
+    /// nothing a rider is handed disagrees with the indexed part of its
+    /// prefix on a byte the token has.
+    fn check(block: &[u8], prefixes: &[&[u8]]) {
+        let index = RiderIndex::new(prefixes.iter().map(|p| Some(*p)));
+        let mut sel = Selection::default();
+        // A dirty scratch must not leak into the next block.
+        index.select(b"stale tokens from the previous block", &mut sel);
+        index.select(block, &mut sel);
+        let mut tokens: Vec<&[u8]> = Vec::new();
+        memchr::for_each_token(block, |t| tokens.push(t));
+        for (rider, prefix) in prefixes.iter().enumerate() {
+            let handed: Vec<&[u8]> = match index.routes[rider] {
+                Route::Every => &sel.every,
+                Route::Slot(n) => &sel.slots[n],
+                Route::Line => unreachable!(),
+            }
+            .iter()
+            .map(|&(start, len)| &block[start..start + len])
+            .collect();
+            let matching: Vec<&[u8]> = tokens
+                .iter()
+                .copied()
+                .filter(|t| t.starts_with(prefix))
+                .collect();
+            let mut rest = handed.iter();
+            for m in &matching {
+                assert!(rest.any(|h| h == m), "rider {rider} {prefix:?} lost {m:?}");
+            }
+            let indexed = &prefix[..prefix.len().min(MAX_DEPTH)];
+            for h in &handed {
+                let both = h.len().min(indexed.len());
+                assert_eq!(
+                    h[..both],
+                    indexed[..both],
+                    "rider {rider} {prefix:?} was handed {h:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_cover_every_prefix_match() {
+        let block =
+            b"apple ab a  abc\tbanana\nab\0x ab\0 a\0 \0 longprefix9 longprefix longprefiX9 b";
+        check(block, &[b"a", b"ab", b"abc", b"b", b"", b"zz"]);
+        check(block, &[b"ab\0", b"\0", b"a\0"]);
+        check(block, &[b"longprefix9", b"longprefi", b"lo"]);
+        check(block, &[b""]);
+        check(b"", &[b"a"]);
+        check(b"   \n\t ", &[b"a", b""]);
+    }
+
+    #[test]
+    fn more_than_sixty_four_riders_use_more_mask_words() {
+        let prefixes: Vec<Vec<u8>> = (0..150u8)
+            .map(|i| vec![b'a' + i % 26, b'a' + i / 26])
+            .collect();
+        let refs: Vec<&[u8]> = prefixes.iter().map(Vec::as_slice).collect();
+        let index = RiderIndex::new(refs.iter().map(|p| Some(*p)));
+        assert_eq!(index.tables.len(), 3 * index.depth);
+        let block: Vec<u8> = prefixes
+            .iter()
+            .flat_map(|p| [p.as_slice(), b"tail "].concat())
+            .collect();
+        check(&block, &refs);
+    }
+
+    #[test]
+    fn line_riders_take_no_slot_and_no_tokens() {
+        let index = RiderIndex::new([None, Some(&b"ab"[..]), None]);
+        assert_eq!(index.slots, 1);
+        let mut sel = Selection::default();
+        index.select(b"ab abc b", &mut sel);
+        assert_eq!(sel.slots[0], vec![(0, 2), (3, 3)]);
+        let empty = RiderIndex::new([None, None]);
+        empty.select(b"ab abc b", &mut sel);
+        assert!(sel.every.is_empty() && sel.slots.is_empty());
+    }
+}

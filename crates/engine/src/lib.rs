@@ -59,6 +59,7 @@
 pub mod arena;
 pub mod exec;
 pub mod external;
+pub(crate) mod fanout;
 pub mod fault;
 pub(crate) mod partition;
 pub mod pool;

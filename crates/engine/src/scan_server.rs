@@ -74,6 +74,7 @@
 
 use crate::arena::TokenMap;
 use crate::exec::{JobOutput, ScanPath, ScanStats};
+use crate::fanout::{RiderIndex, Selection, TokenSink};
 use crate::fault::{ArmedFaults, FaultPlan, FtConfig};
 use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
@@ -233,19 +234,7 @@ impl<J: MapReduceJob> JobAcc<J> {
                 }
             },
             JobAcc::Buf(map) => map.entry(k).or_default().push(v),
-            JobAcc::Tok(_) => unreachable!("token-identity jobs fold via push_token"),
-        }
-    }
-
-    /// Fold one token occurrence into the arena (token-identity jobs only).
-    /// `block` is the buffer the token borrows from (see
-    /// [`TokenMap::upsert_within`]).
-    fn push_token(&mut self, job: &J, block: &[u8], token: &[u8], v: J::V) {
-        match self {
-            JobAcc::Tok(map) => {
-                map.upsert_within(block, token, v, |acc, next| job.combine_fold(acc, next))
-            }
-            _ => unreachable!("push_token requires a token-identity accumulator"),
+            JobAcc::Tok(_) => unreachable!("token-identity jobs fold inside the fan-out kernel"),
         }
     }
 
@@ -280,11 +269,11 @@ impl<J: MapReduceJob> JobAcc<J> {
 
 /// Run one job's map over one block into its accumulator.
 ///
-/// Kernel path: byte slices through the SWAR iterators. `tokens`/`tokenized`
-/// is the block's shared tokenization cache — filled lazily by the first
-/// per-token job, reused by every other one (the cache must be cleared by
-/// the caller at each new block). Token-identity jobs fold straight into the
-/// arena accumulator.
+/// Kernel path: per-token jobs map the tokens the segment's fan-out index
+/// (`fan`, in which this job is rider `rider`) selected for them out of the
+/// block — the caller runs [`RiderIndex::select`] once per block, for all
+/// jobs; token-identity jobs fold straight into the arena accumulator. Line
+/// jobs walk the block through the SWAR line iterator.
 ///
 /// Legacy path (the byte-equality oracle): lossy `&str` conversion, then
 /// `str::lines` / `split_whitespace` into the `&str` entry points, exactly
@@ -292,39 +281,28 @@ impl<J: MapReduceJob> JobAcc<J> {
 ///
 /// User map code may panic; callers wrap this in their per-(job, block)
 /// `catch_unwind`.
-fn scan_block_for_job<'b, J: MapReduceJob>(
+#[allow(clippy::too_many_arguments)]
+fn scan_block_for_job<J: MapReduceJob>(
     job: &J,
     scan_path: ScanPath,
-    block: &'b [u8],
-    tokens: &mut Vec<&'b [u8]>,
-    tokenized: &mut bool,
+    block: &[u8],
+    fan: &RiderIndex,
+    sel: &Selection,
+    rider: usize,
     emitted: &mut u64,
     acc: &mut JobAcc<J>,
 ) {
     match scan_path {
         ScanPath::Kernel => {
             if job.map_is_per_token() {
-                if !*tokenized {
-                    // One tokenization shared by every token job. Whole-block
-                    // tokenization is exact: `\n`/`\r` are whitespace.
-                    memchr::for_each_token(block, |t| tokens.push(t));
-                    *tokenized = true;
-                }
-                if matches!(acc, JobAcc::Tok(_)) {
-                    for tk in tokens.iter() {
-                        if let Some(v) = job.token_value(tk) {
-                            *emitted += 1;
-                            acc.push_token(job, block, tk, v);
-                        }
-                    }
-                } else {
-                    for tk in tokens.iter() {
-                        job.map_token_bytes(tk, &mut |k, v| {
-                            *emitted += 1;
-                            acc.push(job, k, v);
-                        });
-                    }
-                }
+                let sink = match acc {
+                    JobAcc::Tok(map) => TokenSink::Arena { map, emitted },
+                    _ => TokenSink::Emit(&mut |k, v| {
+                        *emitted += 1;
+                        acc.push(job, k, v);
+                    }),
+                };
+                fan.map_rider(sel, rider, job, block, sink);
             } else {
                 for line in memchr::lines(block) {
                     job.map_bytes(line, &mut |k, v| {
@@ -1518,6 +1496,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
     // fast path takes zero claim coordination.
     let solo = fan_out == 1;
     let progress = WorkProgress::new(nblocks);
+    let fan = RiderIndex::over(active.iter().map(|a| &*a.job), shared.scan_path);
 
     pool.broadcast(fan_out, &|wi| {
         let mut claims = if solo {
@@ -1545,7 +1524,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                 }
             })
             .collect();
-        let mut tokens: Vec<&[u8]> = Vec::new();
+        let mut sel = Selection::default();
         while let Some(li) = claims.claim() {
             let idx = start + li;
             if let Some(f) = faults {
@@ -1555,8 +1534,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                 }
             }
             let block = store.block(idx);
-            tokens.clear();
-            let mut tokenized = false;
+            fan.select(block, &mut sel);
             for (pos, a) in active.iter().enumerate() {
                 // Past this job's per-segment limit: the block belongs to
                 // the segment but not to this job's revolution.
@@ -1578,15 +1556,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                             panic!("injected map panic (job {})", a.id);
                         }
                     }
-                    scan_block_for_job(
-                        job,
-                        shared.scan_path,
-                        block,
-                        &mut tokens,
-                        &mut tokenized,
-                        emitted,
-                        acc,
-                    );
+                    scan_block_for_job(job, shared.scan_path, block, &fan, &sel, pos, emitted, acc);
                 }));
                 if let Err(p) = result {
                     a.failure.record(p);
@@ -1650,6 +1620,8 @@ struct SegmentRun<J: MapReduceJob> {
     shared: Arc<ServerShared<J>>,
     slots: Arc<Vec<Mutex<Slot<J>>>>,
     jobs: Vec<SegJob<J>>,
+    /// Fan-out index over `jobs`, in the same order.
+    fan: RiderIndex,
     /// Packed (claim cursor, completed count): fresh claims come off this
     /// word with one `fetch_add` each, and the worker whose commit
     /// completes the segment observes `all_done` here and owns the
@@ -1794,6 +1766,7 @@ fn scan_segment_resilient<J: MapReduceJob + 'static>(
                 limit,
             })
             .collect(),
+        fan: RiderIndex::over(active.iter().map(|a| &*a.job), shared.scan_path),
         progress: WorkProgress::new(nblocks),
         tasks: (0..nblocks)
             .map(|_| BlockTask {
@@ -1839,6 +1812,7 @@ fn scan_segment_resilient<J: MapReduceJob + 'static>(
 /// the shared cursor, then work-assist (or deadline-speculate on) the
 /// uncommitted tail until the segment is done.
 fn seg_worker<J: MapReduceJob + 'static>(run: Arc<SegmentRun<J>>, wi: usize) {
+    let mut sel = Selection::default();
     // Phase A — fresh claims: one fetch_add per block, no CAS loops.
     while let Some(ti) = run.progress.claim() {
         // Armed map panics fire here, synchronous with the claim, not
@@ -1853,7 +1827,7 @@ fn seg_worker<J: MapReduceJob + 'static>(run: Arc<SegmentRun<J>>, wi: usize) {
         run.tasks[ti]
             .claim
             .store(claim_word(wi, run.now_us()), Ordering::Release);
-        execute_block(&run, wi, ti, BlockAttempt::Fresh);
+        execute_block(&run, wi, ti, BlockAttempt::Fresh, &mut sel);
     }
     // Phase B — the cursor is dry; only a claimed-but-uncommitted tail can
     // remain. Assist it immediately, or (legacy mode) wait for deadlines
@@ -1868,7 +1842,7 @@ fn seg_worker<J: MapReduceJob + 'static>(run: Arc<SegmentRun<J>>, wi: usize) {
         match run.next_tail_block(wi, hint, assist) {
             Some((ti, claim)) => {
                 hint = ti + 1;
-                execute_block(&run, wi, ti, BlockAttempt::Reexec(claim));
+                execute_block(&run, wi, ti, BlockAttempt::Reexec(claim), &mut sel);
             }
             None => {
                 // Nothing eligible right now: the in-flight owners are
@@ -1913,6 +1887,7 @@ fn execute_block<J: MapReduceJob + 'static>(
     wi: usize,
     ti: usize,
     attempt: BlockAttempt,
+    sel: &mut Selection,
 ) {
     if let Some(f) = &run.shared.faults {
         let d = f.map_delay_us(wi, run.iter);
@@ -1921,7 +1896,7 @@ fn execute_block<J: MapReduceJob + 'static>(
         }
     }
     let t_start = run.now_us();
-    let locals = process_block(run, run.start + ti);
+    let locals = process_block(run, run.start + ti, sel);
     // An armed drop only fires on a *fresh claim* — "the first block the
     // worker claims" means off the cursor. A re-execution consuming the
     // one-shot would neutralize it (its result is racing an intact owner
@@ -2003,12 +1978,12 @@ fn execute_block<J: MapReduceJob + 'static>(
 fn process_block<J: MapReduceJob + 'static>(
     run: &SegmentRun<J>,
     block_idx: usize,
+    sel: &mut Selection,
 ) -> Vec<Option<JobPartial<J>>> {
     let block = run.shared.store.block(block_idx);
-    let mut tokens: Vec<&[u8]> = Vec::new();
-    let mut tokenized = false;
+    run.fan.select(block, sel);
     let mut out = Vec::with_capacity(run.jobs.len());
-    for sj in &run.jobs {
+    for (pos, sj) in run.jobs.iter().enumerate() {
         // Past this job's per-segment limit: the block belongs to the
         // segment but not to this job's revolution.
         if block_idx >= sj.limit {
@@ -2031,8 +2006,9 @@ fn process_block<J: MapReduceJob + 'static>(
                     job,
                     run.shared.scan_path,
                     block,
-                    &mut tokens,
-                    &mut tokenized,
+                    &run.fan,
+                    sel,
+                    pos,
                     &mut partial.emitted,
                     &mut partial.acc,
                 );

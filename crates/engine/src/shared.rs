@@ -18,6 +18,7 @@
 
 use crate::arena::TokenMap;
 use crate::exec::{partition_of, ExecConfig, JobOutput, ScanPath, ScanStats};
+use crate::fanout::{RiderIndex, Selection, TokenSink};
 use crate::partition::{key_hash, KeySketch, PartitionPlan};
 use crate::pool::WorkerPool;
 use crate::store::BlockStore;
@@ -148,6 +149,8 @@ fn run_merged_path<J: MapReduceJob>(
         })
         .collect();
     let fast_flags = &fast_flags;
+    let fan = RiderIndex::over(jobs.iter().copied(), scan_path);
+    let fan = &fan;
 
     // ---- shared map phase: tag tuples with their job index ----
     let map_t0 = core.map(|c| c.tracer.now_us());
@@ -170,6 +173,7 @@ fn run_merged_path<J: MapReduceJob>(
         let mut bufs: Vec<FxHashMap<J::K, Vec<J::V>>> =
             (0..num_jobs).map(|_| FxHashMap::default()).collect();
         let mut tok_maps: Vec<TokenMap<J::V>> = (0..num_jobs).map(|_| TokenMap::new()).collect();
+        let mut sel = Selection::default();
         loop {
             let idx = next_block.fetch_add(1, Ordering::Relaxed);
             if idx >= num_blocks {
@@ -179,37 +183,31 @@ fn run_merged_path<J: MapReduceJob>(
             bytes += block.len() as u64;
             match scan_path {
                 ScanPath::Kernel => {
-                    // One pass over the records; every job maps each one.
-                    // Token jobs share a single tokenization of the whole
-                    // block (exact: `\n`/`\r` are whitespace, so block
-                    // tokens == every line's tokens concatenated).
-                    if !token_jobs.is_empty() {
-                        memchr::for_each_token(block, |token| {
-                            for &ji in &token_jobs {
-                                let job = jobs[ji];
-                                let cnt = &mut emitted[ji];
-                                if fast_flags[ji] {
-                                    if let Some(v) = job.token_value(token) {
-                                        *cnt += 1;
-                                        tok_maps[ji].upsert_within(block, token, v, |acc, next| {
-                                            job.combine_fold(acc, next)
-                                        });
-                                    }
-                                } else if fold_flags[ji] {
-                                    let acc = &mut fold_accs[ji];
-                                    job.map_token_bytes(token, &mut |k, v| {
-                                        *cnt += 1;
-                                        fold_into(job, acc, k, v);
-                                    });
-                                } else {
-                                    let buf = &mut bufs[ji];
-                                    job.map_token_bytes(token, &mut |k, v| {
-                                        *cnt += 1;
-                                        buf.entry(k).or_default().push(v);
-                                    });
-                                }
-                            }
-                        });
+                    // One pass over the records. Token jobs share a single
+                    // tokenization and predicate lookup of the block, then
+                    // each maps only the tokens the index picked for it.
+                    fan.select(block, &mut sel);
+                    for &ji in &token_jobs {
+                        let job = jobs[ji];
+                        let cnt = &mut emitted[ji];
+                        if fast_flags[ji] {
+                            let sink = TokenSink::Arena { map: &mut tok_maps[ji], emitted: cnt };
+                            fan.map_rider(&sel, ji, job, block, sink);
+                        } else if fold_flags[ji] {
+                            let acc = &mut fold_accs[ji];
+                            let mut emit = |k, v| {
+                                *cnt += 1;
+                                fold_into(job, acc, k, v);
+                            };
+                            fan.map_rider(&sel, ji, job, block, TokenSink::Emit(&mut emit));
+                        } else {
+                            let buf = &mut bufs[ji];
+                            let mut emit = |k, v| {
+                                *cnt += 1;
+                                buf.entry(k).or_default().push(v);
+                            };
+                            fan.map_rider(&sel, ji, job, block, TokenSink::Emit(&mut emit));
+                        }
                     }
                     if !line_jobs.is_empty() {
                         for line in memchr::lines(block) {

@@ -353,6 +353,32 @@ pub trait MapReduceJob: Send + Sync {
         }
     }
 
+    /// Declare a **necessary token prefix**: every token for which
+    /// [`map_token_bytes`](Self::map_token_bytes) emits a pair (or
+    /// [`token_value`](Self::token_value) returns `Some`) starts with these
+    /// bytes. The default, the empty prefix, promises nothing. Only
+    /// meaningful when [`map_is_per_token`](Self::map_is_per_token) is true.
+    ///
+    /// The promise is one-sided — necessary, not sufficient. The shared
+    /// scan's fan-out kernel looks the prefixes of all co-riding jobs up in
+    /// one bit-parallel index per token and hands each job only the tokens
+    /// that could match; every such candidate is still confirmed by the
+    /// job's own map code, so a prefix that is too *weak* (shorter than the
+    /// real filter, or empty) costs time, never correctness. The value must
+    /// not change while the job is running.
+    ///
+    /// A prefix that is too *strong* is a bug in the job: tokens the index
+    /// rejects never reach the map code, so their records would be missing
+    /// from the output. Builds with `debug_assertions` catch it — the
+    /// kernel also runs the job on every rejected token and panics
+    /// (failing that job alone on a server) if one emits. Release builds do
+    /// not pay for the check and **silently drop** those records. The
+    /// legacy oracle path ([`crate::ScanPath::Legacy`]) and the external
+    /// executors never consult the prefix.
+    fn token_prefix(&self) -> &[u8] {
+        b""
+    }
+
     /// Declare the **token-identity fast path**: the job is per-token
     /// ([`map_is_per_token`](Self::map_is_per_token)), fold-combining
     /// ([`combine_is_fold`](Self::combine_is_fold)), and for every token
@@ -444,6 +470,10 @@ pub(crate) mod test_jobs {
 
         fn token_key(&self, token: &[u8]) -> String {
             String::from_utf8_lossy(token).into_owned()
+        }
+
+        fn token_prefix(&self) -> &[u8] {
+            self.prefix.as_bytes()
         }
     }
 }

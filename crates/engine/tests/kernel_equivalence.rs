@@ -4,12 +4,20 @@
 //! server), adaptive segment sizing on and off, and corpora stressing the
 //! tokenizer's edge cases: empty lines, trailing newlines, CR-LF endings,
 //! tabs, and multi-space runs.
+//!
+//! The second half is the fan-out kernel's contract: riders that declare a
+//! [`MapReduceJob::token_prefix`] are indexed, and the indexed scan equals
+//! the unindexed legacy oracle for arbitrary bytes, block cuts, patterns
+//! and rider counts on every executor; a rider that lies about its prefix
+//! or panics on a token fails alone.
 
 use proptest::prelude::*;
 use s3_engine::{
-    run_job, run_job_legacy, run_merged, run_merged_legacy, AdaptiveConfig, BlockStore,
-    ExecConfig, MapReduceJob, ScanPath, ServerConfig, SharedScanServer,
+    run_job, run_job_external, run_job_legacy, run_merged, run_merged_external,
+    run_merged_legacy, AdaptiveConfig, BlockStore, ExecConfig, ExternalConfig, FtConfig, JobError,
+    MapReduceJob, ScanPath, ServerConfig, SharedScanServer,
 };
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Prefix wordcount with every engine path switchable per instance:
@@ -72,6 +80,10 @@ impl MapReduceJob for Wc {
 
     fn token_key(&self, token: &[u8]) -> String {
         String::from_utf8_lossy(token).into_owned()
+    }
+
+    fn token_prefix(&self) -> &[u8] {
+        self.prefix.as_bytes()
     }
 }
 
@@ -189,6 +201,352 @@ proptest! {
                 "fold={} token={} identity={}", job.fold, job.token, job.identity);
             prop_assert_eq!(&k.records, &reference.records, "matches plain engine");
             prop_assert_eq!(k.stats.map_output_records, l.stats.map_output_records);
+        }
+    }
+}
+
+/// Which tokens a [`Pat`] rider counts. Only `Prefix` promises anything
+/// about a matching token's leading bytes.
+#[derive(Clone, Debug)]
+enum Pattern {
+    All,
+    Prefix(Vec<u8>),
+    Contains(Vec<u8>),
+    Length(usize),
+}
+
+/// How a [`Pat`] rider rides: through the token arena, through
+/// `map_token_bytes` with a fold or a buffering combiner, or line by line
+/// (never entering the token kernel).
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Identity,
+    TokenFold,
+    TokenBuf,
+    Line,
+}
+
+/// Pattern wordcount over raw token bytes.
+#[derive(Clone, Debug)]
+struct Pat {
+    pattern: Pattern,
+    shape: Shape,
+    /// Panic when asked about exactly this token.
+    poison: Option<Vec<u8>>,
+    /// Declare this prefix instead of the pattern's own: a lie.
+    claim: Option<Vec<u8>>,
+}
+
+impl Pat {
+    fn new(pattern: Pattern, shape: Shape) -> Self {
+        Pat { pattern, shape, poison: None, claim: None }
+    }
+
+    fn matches(&self, token: &[u8]) -> bool {
+        if self.poison.as_deref() == Some(token) {
+            panic!("poisoned token");
+        }
+        match &self.pattern {
+            Pattern::All => true,
+            Pattern::Prefix(p) => token.starts_with(p),
+            Pattern::Contains(n) => n.is_empty() || token.windows(n.len()).any(|w| w == &n[..]),
+            Pattern::Length(n) => token.len() == *n,
+        }
+    }
+}
+
+impl MapReduceJob for Pat {
+    type K = String;
+    type V = i64;
+    type Out = i64;
+
+    fn map(&self, line: &str, emit: &mut dyn FnMut(String, i64)) {
+        for w in line.split_whitespace() {
+            self.map_token(w, emit);
+        }
+    }
+
+    fn combine(&self, _k: &String, v: Vec<i64>) -> Vec<i64> {
+        vec![v.iter().sum()]
+    }
+
+    fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
+        Some(v.iter().sum())
+    }
+
+    fn combine_is_fold(&self) -> bool {
+        !matches!(self.shape, Shape::TokenBuf)
+    }
+
+    fn combine_fold(&self, acc: &mut i64, next: i64) {
+        *acc += next;
+    }
+
+    fn map_is_per_token(&self) -> bool {
+        !matches!(self.shape, Shape::Line)
+    }
+
+    fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
+        if self.matches(token.as_bytes()) {
+            emit(token.to_string(), 1);
+        }
+    }
+
+    fn map_emits_token(&self) -> bool {
+        matches!(self.shape, Shape::Identity)
+    }
+
+    fn token_value(&self, token: &[u8]) -> Option<i64> {
+        self.matches(token).then_some(1)
+    }
+
+    fn token_key(&self, token: &[u8]) -> String {
+        String::from_utf8_lossy(token).into_owned()
+    }
+
+    fn token_prefix(&self) -> &[u8] {
+        match (&self.claim, &self.pattern) {
+            (Some(claim), _) => claim,
+            (None, Pattern::Prefix(p)) => p,
+            _ => b"",
+        }
+    }
+}
+
+/// Corpus bytes: a small ASCII alphabet (so legacy `&str` and kernel bytes
+/// see the same tokens) in which NUL and DEL are token bytes and every
+/// kind of separator occurs.
+const ALPHABET: &[u8] = b"aaabbc\0\x7fx \n\t\r";
+
+fn ascii_corpus(codes: &[u8]) -> Vec<u8> {
+    codes.iter().map(|&c| ALPHABET[c as usize % ALPHABET.len()]).collect()
+}
+
+/// Cut `bytes` into blocks at arbitrary offsets — mid-token too: each block
+/// is scanned on its own by every path — or, with no cuts, at line ends.
+fn cut_store(bytes: &[u8], cuts: &[u16], block_bytes: usize) -> BlockStore {
+    if cuts.is_empty() {
+        return BlockStore::from_bytes(bytes, block_bytes);
+    }
+    let mut at: Vec<usize> = cuts.iter().map(|&c| c as usize % (bytes.len() + 1)).collect();
+    at.push(0);
+    at.push(bytes.len());
+    at.sort_unstable();
+    BlockStore::from_byte_blocks(at.windows(2).map(|w| bytes[w[0]..w[1]].to_vec()).collect())
+}
+
+/// One rider per pick. Prefixes are cut from the corpus's own tokens so
+/// they match something: length 0, 1, 2, the whole token plus one byte (a
+/// prefix longer than a token that otherwise agrees with it), 9 bytes and
+/// more (past the indexed depth), and one containing NUL.
+fn riders(corpus: &[u8], picks: &[u32]) -> Vec<Pat> {
+    let tokens: Vec<&[u8]> = corpus
+        .split(|b| b" \n\t\r\x0b\x0c".contains(b))
+        .filter(|t| !t.is_empty())
+        .collect();
+    picks
+        .iter()
+        .map(|&pick| {
+            let (kind, which, shape) = (pick as u8, (pick >> 8) as u16, (pick >> 24) as u8);
+            let token: &[u8] =
+                if tokens.is_empty() { b"ab" } else { tokens[which as usize % tokens.len()] };
+            let head = |n: usize| token[..n.min(token.len())].to_vec();
+            let pattern = match kind % 10 {
+                0 => Pattern::All,
+                1 => Pattern::Prefix(head(0)),
+                2 => Pattern::Prefix(head(1)),
+                3 => Pattern::Prefix(head(2)),
+                4 => Pattern::Prefix([token, b"a"].concat()),
+                5 => Pattern::Prefix(head(9 + which as usize % 4)),
+                6 => Pattern::Prefix([&head(1)[..], b"\0"].concat()),
+                7 => Pattern::Contains(head(2)),
+                8 => Pattern::Length(token.len()),
+                _ => Pattern::Prefix(b"aaabbcaaabbc".to_vec()),
+            };
+            let shape = match shape % 6 {
+                0 => Shape::TokenFold,
+                1 => Shape::TokenBuf,
+                2 => Shape::Line,
+                _ => Shape::Identity,
+            };
+            Pat::new(pattern, shape)
+        })
+        .collect()
+}
+
+fn server_outputs(
+    store: &BlockStore,
+    jobs: &[Pat],
+    threads: usize,
+    speculation: bool,
+) -> Vec<Result<s3_engine::JobOutput<String, i64>, JobError>> {
+    let mut cfg = ServerConfig::new(2, threads);
+    if speculation {
+        cfg.ft = FtConfig::resilient();
+    }
+    let server = SharedScanServer::with_config(store.clone(), cfg);
+    let outs = server.submit_all(jobs.to_vec()).into_iter().map(|h| h.wait()).collect();
+    server.shutdown();
+    outs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The indexed kernel equals the unindexed legacy oracle — records and
+    /// `emitted` — for arbitrary ASCII bytes, block cuts, patterns, rider
+    /// shapes and 1 / 8 / 65+ riders, on `run_merged`, `run_job`, both
+    /// server scan loops, and the external executors.
+    #[test]
+    fn indexed_fan_out_equals_legacy(
+        codes in prop::collection::vec(any::<u8>(), 1..400),
+        cuts in prop::collection::vec(any::<u16>(), 0..6),
+        block_bytes in 4usize..64,
+        picks in prop::collection::vec(any::<u32>(), 70..71),
+        num_riders in prop::sample::select(vec![1usize, 8, 70]),
+        threads in prop::sample::select(vec![1usize, 2, 4]),
+    ) {
+        let corpus = ascii_corpus(&codes);
+        let store = cut_store(&corpus, &cuts, block_bytes);
+        let jobs = riders(&corpus, &picks[..num_riders]);
+        let refs: Vec<&Pat> = jobs.iter().collect();
+        let cfg = ExecConfig { num_threads: threads, num_reducers: 3, ..ExecConfig::default() };
+
+        let oracle = run_merged_legacy(&refs, &store, &cfg);
+        let merged = run_merged(&refs, &store, &cfg);
+        for ((k, l), job) in merged.iter().zip(&oracle).zip(&jobs) {
+            prop_assert_eq!(&k.records, &l.records, "run_merged {:?}", job);
+            prop_assert_eq!(k.stats.map_output_records, l.stats.map_output_records, "{:?}", job);
+        }
+        for speculation in [false, true] {
+            let outs = server_outputs(&store, &jobs, threads, speculation);
+            for ((k, l), job) in outs.iter().zip(&oracle).zip(&jobs) {
+                let k = k.as_ref().expect("job completes");
+                prop_assert_eq!(&k.records, &l.records, "server spec={} {:?}", speculation, job);
+                prop_assert_eq!(k.stats.map_output_records, l.stats.map_output_records);
+            }
+        }
+        // One job at a time on the single-job and spilling executors.
+        let ext = ExternalConfig { exec: cfg.clone(), spill_records: 16, tmp_dir: None };
+        for (job, l) in jobs.iter().zip(&oracle).take(4) {
+            let solo = run_job(job, &store, &cfg);
+            prop_assert_eq!(&solo.records, &l.records, "run_job {:?}", job);
+            prop_assert_eq!(solo.stats.map_output_records, l.stats.map_output_records);
+            prop_assert_eq!(&run_job_legacy(job, &store, &cfg).records, &l.records);
+            let (spilled, _) = run_job_external(job, &store, &ext).expect("spill dir");
+            prop_assert_eq!(&spilled.records, &l.records, "external {:?}", job);
+        }
+        let few: Vec<&Pat> = refs.iter().copied().take(4).collect();
+        let (spilled, _) = run_merged_external(&few, &store, &ext).expect("spill dir");
+        for (k, l) in spilled.iter().zip(&oracle) {
+            prop_assert_eq!(&k.records, &l.records, "merged external");
+        }
+    }
+
+    /// Arbitrary bytes, the upper half included, where the lossy legacy
+    /// path is no oracle: the indexed kernel equals a split-and-filter
+    /// count written out here.
+    #[test]
+    fn indexed_fan_out_counts_raw_bytes_exactly(
+        bytes in prop::collection::vec(prop::sample::select(
+            vec![b'a', b'a', b'b', 0u8, 0x80, 0xff, 0xc3, b' ', b' ', b'\n', b'\t']), 1..300),
+        cuts in prop::collection::vec(any::<u16>(), 1..5),
+        picks in prop::collection::vec(any::<u32>(), 8..9),
+    ) {
+        let store = cut_store(&bytes, &cuts, 16);
+        let jobs = riders(&bytes, &picks);
+        let refs: Vec<&Pat> = jobs.iter().collect();
+        let cfg = ExecConfig { num_threads: 2, num_reducers: 2, ..ExecConfig::default() };
+        let merged = run_merged(&refs, &store, &cfg);
+        for (job, out) in jobs.iter().zip(&merged) {
+            let mut want: BTreeMap<String, i64> = BTreeMap::new();
+            let mut emitted = 0;
+            for block in store.iter() {
+                for token in block.split(|b| b" \n\t\r\x0b\x0c".contains(b)) {
+                    if !token.is_empty() && job.matches(token) {
+                        emitted += 1;
+                        *want.entry(String::from_utf8_lossy(token).into_owned()).or_default() += 1;
+                    }
+                }
+            }
+            // Line riders and `map_token_bytes` riders see lossy `&str`
+            // tokens; only arena riders match on the raw bytes.
+            if matches!(job.shape, Shape::Identity) {
+                prop_assert_eq!(&out.records, &want, "{:?}", job);
+                prop_assert_eq!(out.stats.map_output_records, emitted);
+            }
+        }
+    }
+}
+
+fn fixed_store() -> BlockStore {
+    let text = "alpha beta alpha gamma\nbeta delta alpha\nepsilon beta gamma delta\n".repeat(60);
+    BlockStore::from_text(&text, 256)
+}
+
+/// A rider whose own code panics on one token fails alone, on the
+/// cooperative and the speculative scan loop; its co-riders — indexed and
+/// not — finish with exactly their solo output.
+#[test]
+fn rider_panicking_on_one_token_fails_alone() {
+    let store = fixed_store();
+    let cfg = ExecConfig { num_threads: 1, num_reducers: 2, ..ExecConfig::default() };
+    for shape in [Shape::Identity, Shape::TokenFold] {
+        let mut poisoned = Pat::new(Pattern::Prefix(b"ep".to_vec()), shape);
+        poisoned.poison = Some(b"epsilon".to_vec());
+        let jobs = vec![
+            Pat::new(Pattern::Prefix(b"al".to_vec()), Shape::Identity),
+            poisoned,
+            Pat::new(Pattern::All, Shape::Identity),
+            Pat::new(Pattern::Prefix(b"e".to_vec()), Shape::TokenBuf),
+            Pat::new(Pattern::Contains(b"lt".to_vec()), Shape::Line),
+        ];
+        for speculation in [false, true] {
+            let outs = server_outputs(&store, &jobs, 2, speculation);
+            for (i, (job, out)) in jobs.iter().zip(outs).enumerate() {
+                if i == 1 {
+                    match out {
+                        Err(JobError::Panicked(msg)) => assert!(msg.contains("poisoned"), "{msg}"),
+                        other => panic!("spec={speculation}: poisoned rider got {other:?}"),
+                    }
+                } else {
+                    let out = out.expect("healthy rider completes");
+                    let solo = run_job_legacy(job, &store, &cfg);
+                    assert_eq!(out.records, solo.records, "spec={speculation} rider {i}");
+                    assert_eq!(out.stats.map_output_records, solo.stats.map_output_records);
+                }
+            }
+        }
+    }
+}
+
+/// A job that declares a prefix its filter does not have would lose records
+/// silently; debug builds run it on the tokens the index kept from it and
+/// fail it — alone — on the first one it emits for.
+#[cfg(debug_assertions)]
+#[test]
+fn a_rider_that_lies_about_its_prefix_is_quarantined() {
+    let store = fixed_store();
+    let cfg = ExecConfig { num_threads: 1, num_reducers: 2, ..ExecConfig::default() };
+    for shape in [Shape::Identity, Shape::TokenFold, Shape::TokenBuf] {
+        let mut liar = Pat::new(Pattern::Prefix(b"a".to_vec()), shape);
+        liar.claim = Some(b"al".to_vec());
+        let honest = Pat::new(Pattern::Prefix(b"be".to_vec()), Shape::Identity);
+        // "alpha" keeps the promise; the corpus has no other a-word.
+        let outs = server_outputs(&store, &[liar.clone(), honest.clone()], 2, false);
+        assert!(outs.iter().all(Result::is_ok), "a kept promise is no lie");
+
+        liar.claim = Some(b"alz".to_vec());
+        for speculation in [false, true] {
+            let mut outs = server_outputs(&store, &[liar.clone(), honest.clone()], 2, speculation);
+            let honest_out = outs.pop().expect("two riders").expect("honest rider completes");
+            assert_eq!(honest_out.records, run_job_legacy(&honest, &store, &cfg).records);
+            match outs.pop().expect("two riders") {
+                Err(JobError::Panicked(msg)) => {
+                    assert!(msg.contains("token_prefix") && msg.contains("alpha"), "{msg}")
+                }
+                other => panic!("{shape:?} spec={speculation}: liar got {other:?}"),
+            }
         }
     }
 }

@@ -34,14 +34,27 @@ impl WordPattern {
     /// Byte-level [`WordPattern::matches`] for the zero-copy scan path.
     /// Prefix/contains are byte comparisons and length counts bytes, so the
     /// two views agree on any UTF-8 word.
+    #[inline]
     pub fn matches_bytes(&self, word: &[u8]) -> bool {
         match self {
             WordPattern::All => true,
-            WordPattern::Prefix(p) => word.starts_with(p.as_bytes()),
+            WordPattern::Prefix(p) => has_prefix(word, p.as_bytes()),
             WordPattern::Contains(s) => memchr::find(word, s.as_bytes()).is_some(),
             WordPattern::Length(n) => word.len() == *n,
         }
     }
+}
+
+/// `word.starts_with(prefix)`, with prefixes of up to 4 bytes compared in
+/// line: `starts_with` on slices of unknown length lowers to an out-of-line
+/// `bcmp` call, which costs more than the two- or three-byte compare a
+/// typical pattern needs — and this predicate runs once per token per job.
+#[inline]
+fn has_prefix(word: &[u8], prefix: &[u8]) -> bool {
+    if prefix.len() > 4 {
+        return word.starts_with(prefix);
+    }
+    word.len() >= prefix.len() && prefix.iter().zip(word).all(|(p, w)| p == w)
 }
 
 /// Pattern-filtered wordcount.
@@ -124,6 +137,15 @@ impl MapReduceJob for PatternWordCount {
 
     fn token_key(&self, token: &[u8]) -> String {
         String::from_utf8_lossy(token).into_owned()
+    }
+
+    // Only `Prefix` patterns promise anything about a matching word's
+    // leading bytes.
+    fn token_prefix(&self) -> &[u8] {
+        match &self.pattern {
+            WordPattern::Prefix(p) => p.as_bytes(),
+            _ => b"",
+        }
     }
 }
 
@@ -302,6 +324,24 @@ mod tests {
         assert!(WordPattern::Contains("el".into()).matches("hello"));
         assert!(WordPattern::Length(3).matches("abc"));
         assert!(!WordPattern::Length(3).matches("ab"));
+    }
+
+    #[test]
+    fn prefix_match_agrees_with_starts_with_at_every_length() {
+        // Both sides of the inline/`starts_with` split, words shorter than
+        // the prefix, and NUL as an ordinary byte.
+        let words: [&[u8]; 9] =
+            [b"", b"a", b"ab", b"abc", b"abcd", b"abcde", b"abcdefghij", b"ab\0d", b"xbcd"];
+        for prefix in ["", "a", "ab", "abc", "abcd", "abcde", "abcdefghi", "ab\0", "b"] {
+            let pattern = WordPattern::Prefix(prefix.into());
+            for word in words {
+                assert_eq!(
+                    pattern.matches_bytes(word),
+                    word.starts_with(prefix.as_bytes()),
+                    "{prefix:?} vs {word:?}"
+                );
+            }
+        }
     }
 
     #[test]

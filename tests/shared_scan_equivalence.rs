@@ -3,7 +3,10 @@
 //! independent execution, for both workload families, across thread and
 //! reducer configurations.
 
-use s3_engine::{run_job, run_merged, BlockStore, ExecConfig};
+use s3_engine::{
+    run_job, run_merged, run_merged_legacy, BlockStore, ExecConfig, FtConfig, ServerConfig,
+    SharedScanServer,
+};
 use s3_sim::SimRng;
 use s3_workloads::jobs::{PatternWordCount, SelectionJob, WordPattern};
 use s3_workloads::lineitem::LineItemGen;
@@ -131,5 +134,61 @@ fn shared_scan_reads_each_byte_once() {
     for m in &merged {
         assert_eq!(m.stats.bytes_scanned as usize, store.total_bytes());
         assert_eq!(m.stats.blocks_scanned as usize, store.num_blocks());
+    }
+}
+
+/// The workload family's own riders through the fan-out kernel: every
+/// pattern kind — `Prefix` of length 0, 1, 2 and past the indexed depth,
+/// the patterns that declare no prefix — at 1, 8 and 65+ riders equals the
+/// unindexed legacy oracle, records and map-output counts, on `run_merged`
+/// and on both scan loops of the server.
+#[test]
+fn pattern_riders_equal_the_unindexed_oracle() {
+    let gen = TextGen::new(5000, 1.1);
+    // The generator's words are at most 6 bytes; a few long ones give the
+    // prefixes past the indexed depth something to match and to miss.
+    let mut text = gen.generate(&mut SimRng::seed_from_u64(2026), 512 << 10);
+    text.push_str(&"supercalifragilistic supercalifragile superb\n".repeat(40));
+    let store = BlockStore::from_text(&text, 32 << 10);
+    let mut pool: Vec<PatternWordCount> = vec![
+        PatternWordCount::all(),
+        PatternWordCount::prefix(""),
+        PatternWordCount::prefix("b"),
+        PatternWordCount::prefix("supercalifrag"),
+        PatternWordCount::prefix("supercalifragilisticx"),
+        PatternWordCount { pattern: WordPattern::Contains("an".into()) },
+        PatternWordCount { pattern: WordPattern::Length(4) },
+    ];
+    // Two-letter prefixes: the generator's 60 most frequent words are its
+    // 60 leading syllables.
+    pool.extend((0..60).map(|rank| PatternWordCount::prefix(gen.word(rank))));
+    let cfg = ExecConfig { num_threads: 2, num_reducers: 3, ..ExecConfig::default() };
+    for riders in [1, 8, pool.len()] {
+        assert!(riders == 1 || riders == 8 || riders > 64);
+        // The last `riders` of the pool first, so that 1 and 8 riders are
+        // prefix riders and the full set mixes everything.
+        let jobs: Vec<PatternWordCount> = pool.iter().rev().take(riders).cloned().collect();
+        let refs: Vec<&PatternWordCount> = jobs.iter().collect();
+        let oracle = run_merged_legacy(&refs, &store, &cfg);
+        let merged = run_merged(&refs, &store, &cfg);
+        let mut outputs = vec![merged];
+        for ft in [FtConfig::default(), FtConfig::resilient()] {
+            let mut server_cfg = ServerConfig::new(4, 2);
+            server_cfg.ft = ft;
+            let server = SharedScanServer::with_config(store.clone(), server_cfg);
+            let handles = server.submit_all(jobs.clone());
+            outputs.push(handles.into_iter().map(|h| h.wait().expect("job completes")).collect());
+            server.shutdown();
+        }
+        for (which, outs) in outputs.iter().enumerate() {
+            for ((job, out), want) in jobs.iter().zip(outs).zip(&oracle) {
+                assert_eq!(out.records, want.records, "executor {which}: {:?}", job.pattern);
+                assert_eq!(
+                    out.stats.map_output_records, want.stats.map_output_records,
+                    "executor {which}: {:?}", job.pattern
+                );
+            }
+        }
+        assert!(oracle.iter().any(|o| !o.records.is_empty()));
     }
 }
