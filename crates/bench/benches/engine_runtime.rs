@@ -17,10 +17,21 @@
 //! `fetch_add` per block, plus tail re-execution) is visible as the
 //! worker set — and with it contention on the claim cursor — grows past
 //! the core count.
+//!
+//! And `reduce_core/*`: one job alone on a two-thread server over rows whose
+//! map is a copy, so the time is the reduce path's — emit-time routing,
+//! grouping, reduce, publish:
+//!
+//! - `non_fold_unique_40k`: 40k records, every key unique (the selection
+//!   workload's shape);
+//! - `non_fold_40k_over_4k_keys`: 40k records, ten values a key;
+//! - `fold_60k_keys_x2`: 60k keys that each occur in both halves of the
+//!   file, so both workers' maps hold most of them and the finish-time
+//!   flush merges two 60k-key maps.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use s3_engine::{
-    run_job, BlockStore, ExecConfig, FtConfig, ServerConfig, SharedScanServer,
+    run_job, BlockStore, ExecConfig, FtConfig, MapReduceJob, ServerConfig, SharedScanServer,
 };
 use s3_sim::SimRng;
 use s3_workloads::jobs::PatternWordCount;
@@ -121,5 +132,52 @@ fn bench_assist_thread_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_engine_runtime, bench_assist_thread_sweep);
+/// Count identical rows; the row is the key.
+struct RowCount {
+    fold: bool,
+}
+
+impl MapReduceJob for RowCount {
+    type K = String;
+    type V = i64;
+    type Out = i64;
+    fn map(&self, line: &str, emit: &mut dyn FnMut(String, i64)) {
+        emit(line.to_string(), 1);
+    }
+    fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
+        Some(v.iter().sum())
+    }
+    fn combine_is_fold(&self) -> bool {
+        self.fold
+    }
+    fn combine_fold(&self, acc: &mut i64, next: i64) {
+        *acc += next;
+    }
+}
+
+fn bench_reduce_core(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reduce_core");
+    g.sample_size(10);
+    for (name, fold, rows, keys) in [
+        ("non_fold_unique_40k", false, 40_000, 40_000),
+        ("non_fold_40k_over_4k_keys", false, 40_000, 4_000),
+        ("fold_60k_keys_x2", true, 120_000, 60_000),
+    ] {
+        // Keys come in a scrambled order, as a filter's survivors do not.
+        let text: String = (0..rows).map(|i| format!("row-{:06}\n", (i * 7919) % keys)).collect();
+        let server = SharedScanServer::new(BlockStore::from_text(&text, 16 << 10), 8, THREADS);
+        g.throughput(Throughput::Elements(rows as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let out = server.submit(RowCount { fold }).wait().expect("job completed");
+                assert_eq!(out.records.len(), keys);
+                out
+            });
+        });
+        server.shutdown();
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_engine_runtime, bench_assist_thread_sweep, bench_reduce_core);
 criterion_main!(benches);

@@ -6,6 +6,7 @@ use crate::arena::TokenMap;
 use crate::fanout::{RiderIndex, Selection, TokenSink};
 use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
+use crate::reduce::{concat, fold_into, reduce_folded, sort_group_reduce, Groups};
 use crate::store::BlockStore;
 use crate::types::{ConfigError, MapReduceJob, PartitionMode};
 use fxhash::FxHashMap;
@@ -289,14 +290,7 @@ fn run_job_path<J: MapReduceJob>(
             {
                 let mut sink = |k: J::K, v: J::V| {
                     emitted += 1;
-                    match local.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            job.combine_fold(e.get_mut(), v);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                        }
-                    }
+                    fold_into(job, &mut local, k, v);
                 };
                 while let Some(idx) = claims.claim() {
                     let block = store.block(idx);
@@ -430,15 +424,10 @@ fn run_job_path<J: MapReduceJob>(
         out
     });
 
-    // Each key lives in exactly one partition, so the concatenation has no
-    // duplicates: one sort plus a bulk tree build beats per-key ordered
-    // inserts (which re-compare the key at every tree level).
-    let mut flat: Vec<(J::K, J::Out)> = Vec::new();
-    for part in reduced {
-        flat.extend(part);
-    }
-    flat.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let records = BTreeMap::from_iter(flat);
+    // Each key lives in exactly one partition and each partition's part is
+    // sorted, so the concatenation is a duplicate-free sequence of sorted
+    // runs: `from_iter`'s stable sort merges them, then bulk-builds.
+    let records = BTreeMap::from_iter(concat(reduced));
     if let (Some(c), Some(t0)) = (core, reduce_t0) {
         c.tracer
             .span("reduce_phase", t0, Ids::none().jobs(num_partitions as u64));
@@ -453,42 +442,20 @@ fn run_job_path<J: MapReduceJob>(
 }
 
 /// Group one owned partition by key — moving records, never cloning — and
-/// reduce each group into `out` (unordered; the caller sorts once).
+/// reduce each group, appending the partition's part to `out` sorted by key.
 fn reduce_partition<J: MapReduceJob>(
     job: &J,
     part: Vec<(J::K, J::V)>,
     out: &mut Vec<(J::K, J::Out)>,
 ) {
-    // Group under a hash map — O(1) per record instead of a B-tree's
-    // log-n key compares — and only pay for ordering once, inserting the
-    // surviving (key, output) pairs into the sorted result.
     if job.combine_is_fold() {
         let mut grouped: FxHashMap<J::K, J::V> = FxHashMap::default();
         for (k, v) in part {
-            match grouped.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    job.combine_fold(e.get_mut(), v);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
+            fold_into(job, &mut grouped, k, v);
         }
-        for (k, v) in grouped {
-            if let Some(o) = job.reduce(&k, std::slice::from_ref(&v)) {
-                out.push((k, o));
-            }
-        }
+        reduce_folded(job, grouped, out);
     } else {
-        let mut grouped: FxHashMap<J::K, Vec<J::V>> = FxHashMap::default();
-        for (k, v) in part {
-            grouped.entry(k).or_default().push(v);
-        }
-        for (k, vs) in grouped {
-            if let Some(o) = job.reduce(&k, &vs) {
-                out.push((k, o));
-            }
-        }
+        sort_group_reduce(job, [Groups::from_run(part)], out);
     }
 }
 

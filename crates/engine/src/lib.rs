@@ -63,6 +63,7 @@ pub(crate) mod fanout;
 pub mod fault;
 pub(crate) mod partition;
 pub mod pool;
+pub(crate) mod reduce;
 pub mod retry;
 pub mod scan_server;
 pub mod service;

@@ -1,0 +1,433 @@
+//! The reduce core shared by every executor: group a non-fold job's records
+//! by key, and turn one shard's reduce input into its sorted
+//! `(key, output)` part.
+//!
+//! A job without a fold combiner keeps every value, but need not keep a
+//! hot key once per value: its records are grouped where they are emitted,
+//! in a [`Groups`] table that holds a key, its hash, and the values that
+//! arrived for it while a small fixed-size table of recent keys still
+//! pointed at the group. A key seen once costs one entry and no allocation
+//! of its own; a hot key costs one entry however many values it has; a key
+//! that comes back after dropping out of that table opens another group.
+//! Nothing downstream hashes a key again: tables merge and move groups by
+//! the stored hash, and the reduce side joins a key's groups, within a
+//! table and across tables, by *sorting the groups by key*
+//! ([`sort_group_reduce`]), which also leaves the part in the order the
+//! output relation wants. A fold job reaches the reduce side as one value
+//! per key ([`reduce_folded`]).
+//!
+//! Both append a part sorted by key, so an output relation is built by
+//! concatenating key-disjoint parts and handing them to
+//! `BTreeMap::from_iter`, whose stable sort detects the sorted runs and
+//! merges them.
+
+use crate::partition::key_hash;
+use crate::types::MapReduceJob;
+use fxhash::FxHashMap;
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
+
+/// Fold one emitted pair into a fold job's one-value-per-key accumulator.
+pub(crate) fn fold_into<J: MapReduceJob>(job: &J, acc: &mut FxHashMap<J::K, J::V>, k: J::K, v: J::V) {
+    match acc.entry(k) {
+        Entry::Occupied(mut e) => job.combine_fold(e.get_mut(), v),
+        Entry::Vacant(e) => {
+            e.insert(v);
+        }
+    }
+}
+
+/// Concatenate owned parts into one exactly-sized vector, moving elements.
+pub(crate) fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for mut part in parts {
+        all.append(&mut part);
+    }
+    all
+}
+
+/// One key's values in arrival order. A key seen once keeps its value in
+/// the table entry and allocates nothing.
+enum Group<V> {
+    One(V),
+    Many(Vec<V>),
+}
+
+impl<V> Group<V> {
+    fn len(&self) -> u64 {
+        match self {
+            Group::One(_) => 1,
+            Group::Many(values) => values.len() as u64,
+        }
+    }
+
+    /// Move the values to the end of `values`. An empty `values` too small
+    /// to hold them is replaced by the key's vector rather than grown.
+    fn append_to(self, values: &mut Vec<V>) {
+        match self {
+            Group::One(v) => values.push(v),
+            Group::Many(mine) if values.is_empty() && values.capacity() < mine.len() => *values = mine,
+            Group::Many(mut mine) => values.append(&mut mine),
+        }
+    }
+
+    /// Put `later`'s values behind this group's.
+    fn extend(&mut self, later: Group<V>) {
+        if let Group::Many(values) = self {
+            return later.append_to(values);
+        }
+        let mut values = Vec::new();
+        std::mem::replace(self, Group::Many(Vec::new())).append_to(&mut values);
+        later.append_to(&mut values);
+        *self = Group::Many(values);
+    }
+}
+
+/// A key, its [`key_hash`] and a run of its values.
+struct KeyGroup<K, V> {
+    hash: u64,
+    key: K,
+    group: Group<V>,
+}
+
+/// A non-fold job's records grouped by key: groups in the order they were
+/// opened, each holding its key once and the key's values in arrival order.
+///
+/// A record joins the group of its key if that group is one of the two
+/// its set of `recent` saw last, and opens a new group otherwise — partial
+/// pre-aggregation (Larson, ICDE 2002) in a table of fixed size. A hot key
+/// stays in its set and is held once however many values it has. A key that
+/// dropped out in between is held again, later in the vector, and
+/// [`sort_group_reduce`] puts its groups back together, in order. Unique
+/// keys, the other common shape, never hit and pay one probe of a table
+/// that stays in the cache. The table is small on purpose: a complete index
+/// of a worker's keys is hundreds of kilobytes probed at random once a
+/// record, which costs more than it saves when keys are unique and makes
+/// that cost depend on what else is using the last-level cache
+/// (EXPERIMENTS.md, "Non-fold reduce path", has both measurements).
+pub(crate) struct Groups<K, V> {
+    groups: Vec<KeyGroup<K, V>>,
+    /// Sets of two, picked by key hash, the more recently used first; empty
+    /// until the first record. Two ways, so that a hot key whose set
+    /// another key shares is not thrown out every time that key shows up.
+    recent: Vec<[Recent; 2]>,
+    records: u64,
+}
+
+/// A group some set last saw: `group` is its number in `groups` plus one
+/// (`0`: none), `tag` is 32 bits of its key's hash that did not pick the
+/// set, so a miss is decided without reading the group.
+#[derive(Clone, Copy)]
+struct Recent {
+    tag: u32,
+    group: u32,
+}
+
+/// log2 of the sets in [`Groups::recent`]: 32 KiB a table. A scan worker
+/// fills one table per rider and shard at a time.
+const RECENT_BITS: u32 = 11;
+
+impl<K: Eq, V> Groups<K, V> {
+    pub(crate) fn new() -> Self {
+        Groups {
+            groups: Vec::new(),
+            recent: Vec::new(),
+            records: 0,
+        }
+    }
+
+    /// Add one record; `hash` is `key_hash(&key)`.
+    pub(crate) fn push(&mut self, hash: u64, key: K, v: V) {
+        self.insert(KeyGroup {
+            hash,
+            key,
+            group: Group::One(v),
+        });
+    }
+
+    /// Group a flat run of records, in run order.
+    pub(crate) fn from_run(run: Vec<(K, V)>) -> Self
+    where
+        K: Hash,
+    {
+        let mut groups = Groups::new();
+        for (k, v) in run {
+            groups.push(key_hash(&k), k, v);
+        }
+        groups
+    }
+
+    /// Records held.
+    pub(crate) fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// `(key hash, values held)` of every group.
+    pub(crate) fn weights(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.groups.iter().map(|g| (g.hash, g.group.len()))
+    }
+
+    /// Move every group of `later` in behind this table's values of the
+    /// same key: one table operation per group of `later`.
+    pub(crate) fn append(&mut self, later: Groups<K, V>) {
+        if self.groups.is_empty() {
+            *self = later;
+        } else {
+            later.groups.into_iter().for_each(|g| self.insert(g));
+        }
+    }
+
+    /// Put a key's values behind those of its latest group, if the key's
+    /// set still points at it, and in a new group otherwise.
+    fn insert(&mut self, new: KeyGroup<K, V>) {
+        // The high bits of the hash picked the shard, so a table sees only
+        // a slice of them; the multiply folds the low bits in.
+        const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
+        self.records += new.group.len();
+        if self.recent.is_empty() {
+            self.recent = vec![[Recent { tag: 0, group: 0 }; 2]; 1 << RECENT_BITS];
+        }
+        let mixed = new.hash.wrapping_mul(SPREAD);
+        let set = &mut self.recent[(mixed >> (64 - RECENT_BITS)) as usize];
+        let tag = mixed as u32;
+        for way in 0..2 {
+            let seen = set[way];
+            if seen.group != 0 && seen.tag == tag {
+                let held = &mut self.groups[seen.group as usize - 1];
+                if held.hash == new.hash && held.key == new.key {
+                    set.swap(0, way);
+                    return held.group.extend(new.group);
+                }
+            }
+        }
+        self.groups.push(new);
+        // Past 2^32 groups a table stops joining records to new groups.
+        let group = u32::try_from(self.groups.len()).unwrap_or(0);
+        *set = [Recent { tag, group }, set[0]];
+    }
+
+    /// Take out the groups whose key hash `leaves`.
+    fn take_where(&mut self, mut leaves: impl FnMut(u64) -> bool) -> Vec<KeyGroup<K, V>> {
+        let taken: Vec<_> = self.groups.extract_if(.., |g| leaves(g.hash)).collect();
+        if !taken.is_empty() {
+            self.records -= taken.iter().map(|g| g.group.len()).sum::<u64>();
+            // The groups behind the taken ones were renumbered.
+            self.recent = Vec::new();
+        }
+        taken
+    }
+}
+
+/// Spread one worker's shard tables over a plan's bins: a key whose
+/// `bin_of(hash)` is not the table it sits in — under a weighted plan, only
+/// the explicitly placed heavy keys — moves, with its values, to the table
+/// of its bin. `tables` grows to `nbins`.
+pub(crate) fn reroute<K: Eq, V>(tables: &mut Vec<Groups<K, V>>, nbins: usize, bin_of: impl Fn(u64) -> usize) {
+    let homes = tables.len();
+    tables.resize_with(nbins.max(homes), Groups::new);
+    for home in 0..homes {
+        for g in tables[home].take_where(|hash| bin_of(hash) != home) {
+            tables[bin_of(g.hash)].insert(g);
+        }
+    }
+}
+
+/// Reduce a non-fold job's shard. `tables` hold the shard's records as
+/// grouped by each worker, in worker order. Stable-sorts the groups by key,
+/// so the groups of one key become neighbours still in worker, then
+/// opening, order, hands each key's values — worker by worker, each in
+/// arrival order — to
+/// [`combine`](MapReduceJob::combine) and the result to
+/// [`reduce`](MapReduceJob::reduce), and appends the surviving pairs to
+/// `out` in key order. Keys are compared, never hashed.
+pub(crate) fn sort_group_reduce<J: MapReduceJob>(
+    job: &J,
+    tables: impl IntoIterator<Item = Groups<J::K, J::V>>,
+    out: &mut Vec<(J::K, J::Out)>,
+) {
+    let mut groups = concat(tables.into_iter().map(|t| t.groups).collect());
+    groups.sort_by(|a, b| a.key.cmp(&b.key));
+    // One values buffer for the whole shard: an identity `combine` hands it
+    // straight back.
+    let mut values: Vec<J::V> = Vec::new();
+    let mut groups = groups.into_iter().peekable();
+    while let Some(KeyGroup { key, group, .. }) = groups.next() {
+        group.append_to(&mut values);
+        while let Some(next) = groups.next_if(|g| g.key == key) {
+            next.group.append_to(&mut values);
+        }
+        values = job.combine(&key, values);
+        if let Some(o) = job.reduce(&key, &values) {
+            out.push((key, o));
+        }
+        values.clear();
+    }
+}
+
+/// Reduce a fold job's shard — one already-folded value per distinct key,
+/// in any order — and append the surviving pairs to `out` in key order.
+pub(crate) fn reduce_folded<J: MapReduceJob>(
+    job: &J,
+    folded: impl IntoIterator<Item = (J::K, J::V)>,
+    out: &mut Vec<(J::K, J::Out)>,
+) {
+    let start = out.len();
+    for (k, v) in folded {
+        if let Some(o) = job.reduce(&k, std::slice::from_ref(&v)) {
+            out.push((k, o));
+        }
+    }
+    out[start..].sort_unstable_by(|a, b| a.0.cmp(&b.0));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `combine` keeps a group's first and last value, `reduce` drops keys
+    /// starting with `x` and otherwise returns the values it was given.
+    struct Ends;
+    impl MapReduceJob for Ends {
+        type K = String;
+        type V = u32;
+        type Out = Vec<u32>;
+        fn map(&self, _: &str, _: &mut dyn FnMut(String, u32)) {}
+        fn combine(&self, _k: &String, v: Vec<u32>) -> Vec<u32> {
+            match v.as_slice() {
+                [first, .., last] => vec![*first, *last],
+                _ => v,
+            }
+        }
+        fn reduce(&self, k: &String, v: &[u32]) -> Option<Vec<u32>> {
+            (!k.starts_with('x')).then(|| v.to_vec())
+        }
+    }
+
+    fn run(records: &[(&str, u32)]) -> Vec<(String, u32)> {
+        records.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn groups_keep_table_then_arrival_order_and_come_out_sorted() {
+        let worker0 = Groups::from_run(run(&[("b", 1), ("a", 2), ("x", 3), ("b", 4)]));
+        let worker1 = Groups::from_run(run(&[("a", 5), ("b", 6), ("c", 7)]));
+        assert_eq!((worker0.records(), worker1.records()), (4, 3));
+        let mut out = vec![("0".to_string(), vec![0])];
+        sort_group_reduce(&Ends, [worker0, worker1], &mut out);
+        assert_eq!(
+            out,
+            vec![
+                ("0".to_string(), vec![0]),
+                ("a".to_string(), vec![2, 5]),
+                ("b".to_string(), vec![1, 6]),
+                ("c".to_string(), vec![7]),
+            ]
+        );
+        let before = out.clone();
+        sort_group_reduce(&Ends, [Groups::new()], &mut out);
+        assert_eq!(out, before);
+    }
+
+    #[test]
+    fn append_puts_later_values_behind_and_counts_them() {
+        let mut persistent = Groups::from_run(run(&[("a", 1), ("b", 2), ("a", 3)]));
+        persistent.append(Groups::from_run(run(&[("b", 4), ("c", 5), ("b", 6)])));
+        persistent.append(Groups::new());
+        assert_eq!(persistent.records(), 6);
+        let mut weights: Vec<u64> = persistent.weights().map(|(_, n)| n).collect();
+        weights.sort_unstable();
+        assert_eq!(weights, vec![1, 2, 3]);
+        let mut out = Vec::new();
+        /// Identity `combine`, `reduce` returns what it is given.
+        struct All;
+        impl MapReduceJob for All {
+            type K = String;
+            type V = u32;
+            type Out = Vec<u32>;
+            fn map(&self, _: &str, _: &mut dyn FnMut(String, u32)) {}
+            fn reduce(&self, _k: &String, v: &[u32]) -> Option<Vec<u32>> {
+                Some(v.to_vec())
+            }
+        }
+        sort_group_reduce(&All, [persistent], &mut out);
+        assert_eq!(
+            out,
+            vec![
+                ("a".to_string(), vec![1, 3]),
+                ("b".to_string(), vec![2, 4, 6]),
+                ("c".to_string(), vec![5]),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_key_joins_its_latest_group_while_its_set_holds_it_and_reopens_after() {
+        // Hashes that share their high bits, as one shard's do.
+        let hash = |k: u32| u64::from(k).wrapping_mul(0x0001_0000_0001) >> 3;
+        // Few keys: each stays in its set, however the rounds interleave them.
+        let mut table: Groups<u32, u32> = Groups::new();
+        for round in 0..3 {
+            for k in (0..100).rev() {
+                table.push(hash(k), k, round);
+            }
+        }
+        assert_eq!(table.records(), 300);
+        let keys: Vec<u32> = table.groups.iter().map(|g| g.key).collect();
+        assert_eq!(keys, (0..100).rev().collect::<Vec<_>>());
+        assert!(table.weights().all(|(_, values)| values == 3));
+
+        // More keys than the sets hold: a key that dropped out opens a new group,
+        // every record is kept, and the reduce side sees each key whole,
+        // its values in arrival order.
+        let keys = 3 << RECENT_BITS;
+        let mut table: Groups<u32, u32> = Groups::new();
+        for round in 0..3 {
+            for k in 0..keys {
+                table.push(hash(k), k, round);
+            }
+        }
+        assert_eq!(table.records(), 3 * u64::from(keys));
+        assert!(table.groups.len() > keys as usize, "some key must have dropped out of its set");
+        assert_eq!(table.recent.len(), 1 << RECENT_BITS);
+        struct All;
+        impl MapReduceJob for All {
+            type K = u32;
+            type V = u32;
+            type Out = Vec<u32>;
+            fn map(&self, _: &str, _: &mut dyn FnMut(u32, u32)) {}
+            fn reduce(&self, _k: &u32, v: &[u32]) -> Option<Vec<u32>> {
+                Some(v.to_vec())
+            }
+        }
+        let mut out = Vec::new();
+        sort_group_reduce(&All, [table], &mut out);
+        assert_eq!(out, (0..keys).map(|k| (k, vec![0, 1, 2])).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn reroute_moves_whole_groups_and_their_counts() {
+        let records = run(&[("a", 1), ("b", 2), ("a", 3), ("c", 4)]);
+        let heavy = key_hash(&"a".to_string());
+        let mut tables = vec![Groups::from_run(records), Groups::new()];
+        reroute(&mut tables, 3, |h| if h == heavy { 2 } else { 0 });
+        let counts: Vec<u64> = tables.iter().map(Groups::records).collect();
+        assert_eq!(counts, vec![2, 0, 2]);
+        let moved: Vec<(u64, u64)> = tables[2].weights().collect();
+        assert_eq!(moved, vec![(heavy, 2)]);
+    }
+
+    #[test]
+    fn folded_parts_sort_only_what_they_append() {
+        let mut out = vec![("z".to_string(), vec![9])];
+        let folded = [("c", 1), ("xa", 2), ("a", 3)].map(|(k, v)| (k.to_string(), v));
+        reduce_folded(&Ends, folded, &mut out);
+        assert_eq!(
+            out,
+            vec![
+                ("z".to_string(), vec![9]),
+                ("a".to_string(), vec![3]),
+                ("c".to_string(), vec![1]),
+            ]
+        );
+    }
+}

@@ -78,6 +78,7 @@ use crate::fanout::{RiderIndex, Selection, TokenSink};
 use crate::fault::{ArmedFaults, FaultPlan, FtConfig};
 use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
+use crate::reduce::{concat, fold_into, reduce_folded, reroute, sort_group_reduce, Groups};
 use crate::store::BlockStore;
 use crate::types::{JobError, JobResult, MapReduceJob, PartitionMode};
 use fxhash::FxHashMap;
@@ -140,16 +141,21 @@ struct ServerObs {
     admission: Arc<Histogram>,
     /// Submit → output published.
     job_latency: Arc<Histogram>,
-    /// Duration of the one-time split of a job's accumulated state into
-    /// per-shard buckets. Phase-global work, kept out of `reduce_shard`
-    /// so that histogram shows only per-shard reduce cost (the skew
-    /// signal) instead of whichever task drew the split.
+    /// Duration of the one-time hand-over of a job's accumulated state to
+    /// its reduce bins: the flush of fold and token maps, and under a
+    /// weighted plan the move of heavy keys (non-fold tables are routed at
+    /// emit and cost nothing here). Phase-global work, kept out of
+    /// `reduce_shard` so that histogram shows only per-shard reduce cost
+    /// (the skew signal) instead of whichever task drew the hand-over.
     shard_split: Arc<Histogram>,
     /// Duration of one reduce-pool finalization shard.
     reduce_shard: Arc<Histogram>,
     /// Records reduced by one finalization shard — the skew signal the
     /// weighted partitioner flattens.
     reduce_shard_records: Arc<Histogram>,
+    /// Duration of a completed job's serial tail, on the last shard task:
+    /// concatenate the parts, build the output tree, wake the handle.
+    publish: Arc<Histogram>,
     /// Speculative claim → winning commit: how long a lost/stalled block
     /// took to recover once the deadline flagged it.
     recovery_us: Arc<Histogram>,
@@ -186,6 +192,7 @@ impl ServerObs {
             shard_split: m.histogram("engine.shard_split_us"),
             reduce_shard: m.histogram("engine.reduce_shard_us"),
             reduce_shard_records: m.histogram("engine.reduce_shard_records"),
+            publish: m.histogram("engine.publish_us"),
             recovery_us: m.histogram("engine.recovery_us"),
         }))
     }
@@ -195,23 +202,30 @@ impl ServerObs {
     }
 }
 
-/// Map-side accumulator for one job on one worker: fold jobs stream into
-/// one value per key, buffering jobs keep the runs for a later combine,
-/// and token-identity fold jobs ([`MapReduceJob::map_emits_token`]) fold
-/// under the raw token bytes in a [`TokenMap`] arena — no key is
-/// materialized until the reduce shards call `token_key` once per distinct
-/// token.
+/// Map-side accumulator for one job on one worker. Fold jobs stream into
+/// one value per key; token-identity fold jobs
+/// ([`MapReduceJob::map_emits_token`]) fold under the raw token bytes in a
+/// [`TokenMap`] arena, and no key is materialized until the finish-time
+/// flush calls `token_key` once per distinct token. A job without a fold
+/// combiner keeps every value, so its accumulator is already the
+/// reduce-side layout: one [`Groups`] table per reduce shard, routed at
+/// emit by the key's hash, which the table keeps (see DESIGN.md, "The
+/// reduce path").
 enum JobAcc<J: MapReduceJob> {
     Fold(FxHashMap<J::K, J::V>),
-    Buf(FxHashMap<J::K, Vec<J::V>>),
+    Grouped(Vec<ShardGroups<J>>),
     Tok(TokenMap<J::V>),
 }
 
+/// A non-fold job's records of one reduce shard, grouped by key.
+type ShardGroups<J> = Groups<<J as MapReduceJob>::K, <J as MapReduceJob>::V>;
+
 impl<J: MapReduceJob> JobAcc<J> {
     /// The accumulator kind is a pure function of the job's declared flags
-    /// and the server's scan path, so every worker (and the speculative
-    /// path's block-local accumulators) picks the same variant for a job.
-    fn for_job(job: &J, scan_path: ScanPath) -> Self {
+    /// and the server's scan path and reduce width, so every worker (and
+    /// the resilient path's block-local accumulators) picks the same
+    /// variant, with the same shard count, for a job.
+    fn for_job(job: &J, scan_path: ScanPath, nshards: usize) -> Self {
         if job.combine_is_fold() {
             if scan_path == ScanPath::Kernel && job.map_emits_token() {
                 JobAcc::Tok(TokenMap::new())
@@ -219,44 +233,34 @@ impl<J: MapReduceJob> JobAcc<J> {
                 JobAcc::Fold(FxHashMap::default())
             }
         } else {
-            JobAcc::Buf(FxHashMap::default())
+            JobAcc::Grouped((0..nshards).map(|_| Groups::new()).collect())
         }
     }
 
     fn push(&mut self, job: &J, k: J::K, v: J::V) {
         match self {
-            JobAcc::Fold(map) => match map.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    job.combine_fold(e.get_mut(), v);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            },
-            JobAcc::Buf(map) => map.entry(k).or_default().push(v),
+            JobAcc::Fold(map) => fold_into(job, map, k, v),
+            JobAcc::Grouped(shards) => {
+                let hash = key_hash(&k);
+                let shard = shard_of_hash(hash, shards.len());
+                shards[shard].push(hash, k, v);
+            }
             JobAcc::Tok(_) => unreachable!("token-identity jobs fold inside the fan-out kernel"),
         }
     }
 
     /// Merge a committed block-local accumulator into this (persistent)
-    /// one — the speculative scan path's idempotent-commit step.
+    /// one — the resilient scan path's idempotent-commit step.
     fn merge(&mut self, job: &J, other: JobAcc<J>) {
         match (self, other) {
             (JobAcc::Fold(m), JobAcc::Fold(o)) => {
                 for (k, v) in o {
-                    match m.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            job.combine_fold(e.get_mut(), v);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                        }
-                    }
+                    fold_into(job, m, k, v);
                 }
             }
-            (JobAcc::Buf(m), JobAcc::Buf(o)) => {
-                for (k, mut vs) in o {
-                    m.entry(k).or_default().append(&mut vs);
+            (JobAcc::Grouped(m), JobAcc::Grouped(o)) => {
+                for (shard, block_shard) in m.iter_mut().zip(o) {
+                    shard.append(block_shard);
                 }
             }
             (JobAcc::Tok(m), JobAcc::Tok(o)) => {
@@ -744,6 +748,10 @@ struct ServerShared<J: MapReduceJob> {
     scan_path: ScanPath,
     /// How finalization routes keys to reduce shards.
     partition: PartitionMode,
+    /// Reduce shards per job: the reduce pool's width, which matches the
+    /// scan pool's. Fixed here, at construction, because non-fold jobs
+    /// route every emitted record to its shard during the scan.
+    nshards: usize,
     /// EWMA of block-scan time (µs); drives the speculative deadline.
     ewma_block_us: AtomicU64,
     /// Consecutive deadline misses per virtual worker; reset by an
@@ -852,6 +860,7 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
             faults: config.faults.as_ref().map(|p| p.arm()),
             scan_path: config.scan_path,
             partition: config.partition,
+            nshards: num_threads,
             ewma_block_us: AtomicU64::new(0),
             misses: (0..num_threads).map(|_| AtomicU32::new(0)).collect(),
             obs: ServerObs::new(&config.obs),
@@ -1112,7 +1121,7 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
         .map(|o| o.obs.clone())
         .unwrap_or_default();
     let scan_pool = WorkerPool::new_observed(num_threads, "scan", &obs_handle);
-    let reduce_pool = WorkerPool::new_observed(num_threads, "reduce", &obs_handle);
+    let reduce_pool = WorkerPool::new_observed(shared.nshards, "reduce", &obs_handle);
     shared.pool_threads_spawned.store(
         scan_pool.threads_spawned() + reduce_pool.threads_spawned(),
         Ordering::Relaxed,
@@ -1517,7 +1526,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                         a.id,
                         JobPartial {
                             emitted: 0,
-                            acc: JobAcc::for_job(&*a.job, shared.scan_path),
+                            acc: JobAcc::for_job(&*a.job, shared.scan_path, shared.nshards),
                         },
                     ));
                     slot.len() - 1
@@ -1997,7 +2006,7 @@ fn process_block<J: MapReduceJob + 'static>(
         let job = &*sj.job;
         let mut partial = JobPartial {
             emitted: 0,
-            acc: JobAcc::for_job(job, run.shared.scan_path),
+            acc: JobAcc::for_job(job, run.shared.scan_path, run.shared.nshards),
         };
         let result = {
             let partial = &mut partial;
@@ -2045,7 +2054,7 @@ fn merge_locals<J: MapReduceJob + 'static>(
                     sj.id,
                     JobPartial {
                         emitted: 0,
-                        acc: JobAcc::for_job(&*sj.job, run.shared.scan_path),
+                        acc: JobAcc::for_job(&*sj.job, run.shared.scan_path, run.shared.nshards),
                     },
                 ));
                 slot.len() - 1
@@ -2077,25 +2086,34 @@ struct FinishCtx<J: MapReduceJob> {
     obs: Option<Arc<ServerObs>>,
 }
 
-/// One shard's reduced output: unordered (key, output) pairs.
+/// One shard's reduced output: (key, output) pairs sorted by key.
 type ReducedPart<J> = Vec<(<J as MapReduceJob>::K, <J as MapReduceJob>::Out)>;
+
+/// One bin's reduce input.
+enum ShardInput<J: MapReduceJob> {
+    /// Fold job: one value per key, the workers' maps merged by the flush.
+    Folded(FxHashMap<J::K, J::V>),
+    /// Non-fold job: the tables routed to this bin, in worker order.
+    Grouped(Vec<ShardGroups<J>>),
+}
 
 struct FinishState<J: MapReduceJob> {
     sharded: bool,
     /// Per-worker accumulators, as collected by the coordinator.
     partials: Vec<JobAcc<J>>,
-    /// Key-hash shards, built lazily by the first shard task to run.
-    buckets: Vec<Option<JobAcc<J>>>,
-    /// Reduce-input records routed into each shard, filled at split time.
+    /// Reduce input of each bin, built by the first shard task to run.
+    buckets: Vec<Option<ShardInput<J>>>,
+    /// Reduce-input records routed into each bin, filled with `buckets`.
     bin_records: Vec<u64>,
-    /// Reduced output of each shard.
-    parts: Vec<Option<ReducedPart<J>>>,
+    /// Reduced output of each bin; empty until its shard task stores it.
+    parts: Vec<ReducedPart<J>>,
 }
 
-/// Collect the finished job's worker partials (cheap: map moves, no record
-/// touches) and queue its combine+reduce on the reduce pool, sharded by
-/// key hash. The coordinator returns to scanning immediately; the last
-/// shard task to finish publishes the result and wakes the handle.
+/// Collect the finished job's worker partials (cheap: map and table moves, no
+/// record touches; Weighted sketching visits each key a worker holds) and queue its combine+reduce
+/// on the reduce pool, sharded by key hash. The coordinator returns to
+/// scanning immediately; the last shard task to finish publishes the result
+/// and wakes the handle.
 fn finish_job<J: MapReduceJob + 'static>(
     slots: &[Mutex<Slot<J>>],
     reduce_pool: &WorkerPool,
@@ -2120,7 +2138,7 @@ fn finish_job<J: MapReduceJob + 'static>(
                     distinct_fold_keys += m.len() as u64;
                     folded = true;
                 }
-                JobAcc::Buf(_) => {}
+                JobAcc::Grouped(_) => {}
             }
             partials.push(partial.acc);
         }
@@ -2138,16 +2156,14 @@ fn finish_job<J: MapReduceJob + 'static>(
         }
     }
 
-    // A zero-thread reduce pool degenerates to one shard; never a
-    // div-by-zero mid-reduce.
-    let nshards = reduce_pool.num_threads().max(1);
+    let nshards = shared.nshards;
 
     // Weighted mode: sketch each worker accumulator's combiner-output key
     // distribution (weight = reduce-input records it will contribute),
     // merge the per-worker sketches, and build the routing plan. The plan's
     // estimates sum exactly to the records the split will route, which is
     // the `partition_plan`/`reduce_shard` trace invariant.
-    let plan = shared.partition.is_weighted().then(|| {
+    let build_plan = || {
         let mut merged = KeySketch::new().finish();
         for acc in &partials {
             let mut s = KeySketch::new();
@@ -2162,9 +2178,9 @@ fn finish_job<J: MapReduceJob + 'static>(
                 JobAcc::Tok(m) => m.for_each(|tok, _| {
                     s.observe(key_hash(&job.job.token_key(tok)), 1);
                 }),
-                JobAcc::Buf(m) => {
-                    for (k, vs) in m {
-                        s.observe(key_hash(k), vs.len() as u64);
+                JobAcc::Grouped(shards) => {
+                    for (hash, values) in shards.iter().flat_map(Groups::weights) {
+                        s.observe(hash, values);
                     }
                 }
             }
@@ -2173,7 +2189,17 @@ fn finish_job<J: MapReduceJob + 'static>(
         let p = PartitionPlan::build(&merged, nshards, shared.partition.split_factor_x1000());
         debug_assert_eq!(p.estimates().iter().sum::<u64>(), merged.total());
         p
-    });
+    };
+    // Sketching runs the job's `token_key` and `Hash`, here on the
+    // coordinator: a panic in either fails this job, not the server. The
+    // shards still run, unplanned, and the last one publishes the failure.
+    let plan = if shared.partition.is_weighted() {
+        catch_unwind(AssertUnwindSafe(build_plan))
+            .map_err(|p| job.failure.record(p))
+            .ok()
+    } else {
+        None
+    };
     if let (Some(o), Some(p)) = (&obs, &plan) {
         // One instant per bin: shard index in its id field, estimated
         // weight in `n`. check_engine_events sums these against the
@@ -2198,7 +2224,7 @@ fn finish_job<J: MapReduceJob + 'static>(
             partials,
             buckets: (0..nbins).map(|_| None).collect(),
             bin_records: vec![0; nbins],
-            parts: (0..nbins).map(|_| None).collect(),
+            parts: (0..nbins).map(|_| Vec::new()).collect(),
         }),
         remaining: AtomicUsize::new(nbins),
         stats: ScanStats {
@@ -2218,79 +2244,78 @@ fn finish_job<J: MapReduceJob + 'static>(
     }
 }
 
-/// The combine+reduce work of one finalization shard, running user code
-/// (combine / combine_fold via bucket merging, reduce): extracted so
-/// [`run_finish_shard`] can run it under `catch_unwind`.
-/// One-time split of a job's accumulated state into per-shard buckets —
-/// off the coordinator, performed by whichever shard task gets there
-/// first (later tasks see `sharded` set and skip). Returns whether this
-/// call did the split, so the caller can attribute the cost to its own
-/// `shard_split` span rather than polluting that shard's `reduce_shard`
-/// measurement.
+/// One-time hand-over of a job's accumulated state to its reduce bins — off
+/// the coordinator, performed by whichever shard task gets there first
+/// (later tasks see `sharded` set and skip). Returns whether this call did
+/// it, so the caller can attribute the cost to its own `shard_split` span
+/// rather than polluting that shard's `reduce_shard` measurement.
+///
+/// Fold and token maps are flushed: one route and one fold-merge per
+/// distinct key per worker. A non-fold job's tables were routed at emit, so
+/// each moves to its bin whole; only under a weighted plan does a worker's
+/// table give up entries — those of the plan's explicitly placed heavy
+/// keys, found by their stored hash. Every other key's plan bin *is* its
+/// emit-time shard.
 fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nbins: usize) -> bool {
     let mut st = ctx.state.lock();
     if st.sharded {
         return false;
     }
-    // The weighted plan routes heavy keys explicitly; the hash path uses
-    // the bias-free reduction over the base shard count.
-    let route = |k: &J::K| match &ctx.plan {
-        Some(p) => p.bin_of_hash(key_hash(k)),
-        None => shard_of_hash(key_hash(k), nbins),
-    };
     let partials = std::mem::take(&mut st.partials);
-    let fold = ctx.job.combine_is_fold();
-    // Buckets hold materialized keys, so token-identity partials shard
-    // into plain Fold buckets (the fast path implies fold).
-    let mut buckets: Vec<JobAcc<J>> = (0..nbins)
-        .map(|_| {
-            if fold {
-                JobAcc::Fold(FxHashMap::default())
-            } else {
-                JobAcc::Buf(FxHashMap::default())
-            }
-        })
-        .collect();
     let mut bin_records = vec![0u64; nbins];
-    for acc in partials {
-        match acc {
-            JobAcc::Fold(map) => {
-                for (k, v) in map {
-                    let b = route(&k);
-                    bin_records[b] += 1;
-                    // Fold-merges values of keys seen by several workers.
-                    buckets[b].push(&*ctx.job, k, v);
-                }
-            }
-            JobAcc::Tok(map) => {
+    // A job's partials are all of one kind, the one `JobAcc::for_job` picks
+    // from the same flag.
+    let buckets: Vec<ShardInput<J>> = if ctx.job.combine_is_fold() {
+        // The weighted plan routes heavy keys explicitly; the hash path
+        // uses the bias-free reduction over the base shard count.
+        let route = |k: &J::K| match &ctx.plan {
+            Some(p) => p.bin_of_hash(key_hash(k)),
+            None => shard_of_hash(key_hash(k), nbins),
+        };
+        let mut folded: Vec<FxHashMap<J::K, J::V>> = (0..nbins).map(|_| FxHashMap::default()).collect();
+        // Fold-merges the values of keys seen by several workers.
+        let mut flush = |k: J::K, v: J::V| {
+            let b = route(&k);
+            bin_records[b] += 1;
+            fold_into(&*ctx.job, &mut folded[b], k, v);
+        };
+        for acc in partials {
+            match acc {
+                JobAcc::Fold(map) => map.into_iter().for_each(|(k, v)| flush(k, v)),
                 // The one place the fast path builds real keys: once per
                 // distinct token per worker accumulator.
-                map.drain_into(|tok, v| {
-                    let k = ctx.job.token_key(tok);
-                    let b = route(&k);
-                    bin_records[b] += 1;
-                    buckets[b].push(&*ctx.job, k, v);
-                });
-            }
-            JobAcc::Buf(map) => {
-                for (k, mut vs) in map {
-                    let b = route(&k);
-                    bin_records[b] += vs.len() as u64;
-                    match &mut buckets[b] {
-                        JobAcc::Buf(m) => m.entry(k).or_default().append(&mut vs),
-                        _ => unreachable!("bucket kind matches job kind"),
-                    }
-                }
+                JobAcc::Tok(map) => map.drain_into(|tok, v| flush(ctx.job.token_key(tok), v)),
+                JobAcc::Grouped(_) => {}
             }
         }
-    }
+        folded.into_iter().map(ShardInput::Folded).collect()
+    } else {
+        let mut bins: Vec<Vec<ShardGroups<J>>> = (0..nbins).map(|_| Vec::new()).collect();
+        for acc in partials {
+            let JobAcc::Grouped(mut worker) = acc else { continue };
+            if let Some(plan) = &ctx.plan {
+                reroute(&mut worker, nbins, |hash| plan.bin_of_hash(hash));
+            }
+            // Worker by worker, so a bin's tables stay in worker order.
+            for ((bin, n), table) in bins.iter_mut().zip(&mut bin_records).zip(worker) {
+                *n += table.records();
+                bin.push(table);
+            }
+        }
+        bins.into_iter().map(ShardInput::Grouped).collect()
+    };
     st.buckets = buckets.into_iter().map(Some).collect();
     st.bin_records = bin_records;
     st.sharded = true;
     true
 }
 
-fn finish_shard_inner<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, s: usize) -> Vec<(J::K, J::Out)> {
+/// The combine+reduce work of one finalization shard, running user code
+/// (combine, reduce): extracted so [`run_finish_shard`] can run it under
+/// `catch_unwind`. Takes the bin's input out of the shared state and
+/// reduces it outside the lock, so shards run in parallel; the part comes
+/// back sorted by key.
+fn finish_shard_inner<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, s: usize) -> ReducedPart<J> {
     if let Some(f) = &ctx.faults {
         let d = f.reduce_delay_us(ctx.job_id, s);
         if d > 0 {
@@ -2300,39 +2325,21 @@ fn finish_shard_inner<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, s: usize) -
             panic!("injected reduce panic (job {} shard {s})", ctx.job_id);
         }
     }
-    // `get_mut` (not indexing): if the split itself panicked, the bucket
-    // vector was never built — this shard then reduces nothing and the
-    // recorded failure quarantines the job at publish time.
-    let bucket = ctx.state.lock().buckets.get_mut(s).and_then(Option::take);
-
-    // Reduce this shard outside the lock so shards run in parallel. The
-    // part stays unordered — the publisher sorts all shards in one pass.
+    // `get_mut` (not indexing) and `None`: if the hand-over itself
+    // panicked, the bins were never filled — this shard then reduces
+    // nothing and the recorded failure quarantines the job at publish time.
+    let input = ctx.state.lock().buckets.get_mut(s).and_then(Option::take);
     let mut part = Vec::new();
-    if let Some(acc) = bucket {
-        match acc {
-            JobAcc::Fold(map) => {
-                for (k, v) in map {
-                    if let Some(o) = ctx.job.reduce(&k, std::slice::from_ref(&v)) {
-                        part.push((k, o));
-                    }
-                }
-            }
-            JobAcc::Buf(map) => {
-                for (k, vs) in map {
-                    let folded = ctx.job.combine(&k, vs);
-                    if let Some(o) = ctx.job.reduce(&k, &folded) {
-                        part.push((k, o));
-                    }
-                }
-            }
-            JobAcc::Tok(_) => unreachable!("buckets hold materialized keys"),
-        }
+    match input {
+        Some(ShardInput::Folded(map)) => reduce_folded(&*ctx.job, map, &mut part),
+        Some(ShardInput::Grouped(tables)) => sort_group_reduce(&*ctx.job, tables, &mut part),
+        None => {}
     }
     part
 }
 
 fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize, nbins: usize) {
-    // Phase-global split into per-shard buckets, charged to its own
+    // Phase-global hand-over to the reduce bins, charged to its own
     // `shard_split` span: leaving it inside whichever `reduce_shard` span
     // ran first made that histogram's tail show the split cost instead of
     // the per-shard reduce skew. A panic inside user merge code during
@@ -2361,7 +2368,7 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
     };
     let shard_records = {
         let mut st = ctx.state.lock();
-        st.parts[s] = Some(part);
+        st.parts[s] = part;
         st.bin_records.get(s).copied().unwrap_or(0)
     };
     if let (Some(o), Some(t0)) = (&ctx.obs, shard_t0) {
@@ -2388,21 +2395,22 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
                 .publish(Err(JobError::Panicked(ctx.failure.message())));
             return;
         }
+        // The serial tail of the reduce: concatenate, build, wake.
+        let publish_t0 = ctx.obs.as_ref().map(|o| o.tracer().now_us());
         let parts = std::mem::take(&mut ctx.state.lock().parts);
-        // Shards hold disjoint key sets (split by key hash), so the
-        // concatenation is duplicate-free: sort once, bulk-build the tree.
-        let mut flat: Vec<(J::K, J::Out)> = Vec::new();
-        for p in parts {
-            flat.extend(p.expect("every shard stored its part"));
-        }
-        flat.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let records = BTreeMap::from_iter(flat);
+        // Each part is sorted and the parts hold disjoint key sets (split
+        // by key hash), so the concatenation is a duplicate-free sequence
+        // of sorted runs: `from_iter`'s stable sort merges them, then
+        // bulk-builds.
+        let records = BTreeMap::from_iter(concat(parts));
         let mut stats = ctx.stats;
         stats.reduce_output_records = records.len() as u64;
         let blocks_scanned = stats.blocks_scanned;
         let output = JobOutput { records, stats };
         ctx.completion.publish(Ok(output));
-        if let Some(o) = &ctx.obs {
+        if let (Some(o), Some(t0)) = (&ctx.obs, publish_t0) {
+            o.tracer().span("publish", t0, Ids::job(ctx.job_id));
+            o.publish.record(o.tracer().now_us().saturating_sub(t0));
             o.jobs_completed.inc();
             o.job_latency
                 .record(o.tracer().now_us().saturating_sub(ctx.submitted_us));

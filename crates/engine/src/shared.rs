@@ -21,6 +21,7 @@ use crate::exec::{partition_of, ExecConfig, JobOutput, ScanPath, ScanStats};
 use crate::fanout::{RiderIndex, Selection, TokenSink};
 use crate::partition::{key_hash, KeySketch, PartitionPlan};
 use crate::pool::WorkerPool;
+use crate::reduce::{fold_into, reduce_folded, sort_group_reduce, Groups};
 use crate::store::BlockStore;
 use crate::types::MapReduceJob;
 use fxhash::FxHashMap;
@@ -29,24 +30,6 @@ use s3_obs::trace::Ids;
 use s3_obs::Obs;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Values gathered for one `(job, key)` group on the reduce side: fold
-/// jobs keep a single streamed accumulator, buffering jobs keep the run.
-enum Gathered<V> {
-    One(V),
-    Many(Vec<V>),
-}
-
-fn fold_into<J: MapReduceJob>(job: &J, acc: &mut FxHashMap<J::K, J::V>, k: J::K, v: J::V) {
-    match acc.entry(k) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            job.combine_fold(e.get_mut(), v);
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(v);
-        }
-    }
-}
 
 /// Run every job in `jobs` over one shared scan of `store`.
 ///
@@ -384,7 +367,8 @@ fn run_merged_path<J: MapReduceJob>(
     let shuffled: Vec<LockedPartition<J>> = shuffled.into_iter().map(Mutex::new).collect();
     let shuffled = &shuffled;
     let fold_flags = &fold_flags;
-    // One unordered (key, output) part per job, per reduce worker.
+    // Per job and per reduce worker: the sorted parts of the partitions the
+    // worker took, back to back.
     type ReducedParts<J> = Vec<Vec<(<J as MapReduceJob>::K, <J as MapReduceJob>::Out)>>;
     let reduced: Vec<ReducedParts<J>> = pool.broadcast(num_threads, &|_| {
         let mut out: ReducedParts<J> = (0..num_jobs).map(|_| Vec::new()).collect();
@@ -394,50 +378,36 @@ fn run_merged_path<J: MapReduceJob>(
                 break;
             }
             let part = std::mem::take(&mut *shuffled[p].lock());
-            // Hash-map grouping (O(1) per record, no log-n key compares);
-            // ordering is paid once on insertion into the sorted output.
-            let mut grouped: FxHashMap<(usize, J::K), Gathered<J::V>> = FxHashMap::default();
+            // Untag: fold jobs merge into one value per key, the others
+            // group their values per key for the shared sort-group-reduce.
+            let mut folded: Vec<FxHashMap<J::K, J::V>> =
+                (0..num_jobs).map(|_| FxHashMap::default()).collect();
+            let mut grouped: Vec<Groups<J::K, J::V>> = (0..num_jobs).map(|_| Groups::new()).collect();
             for (ji, k, v) in part {
-                match grouped.entry((ji, k)) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => match e.get_mut() {
-                        Gathered::One(acc) => jobs[ji].combine_fold(acc, v),
-                        Gathered::Many(vs) => vs.push(v),
-                    },
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        if fold_flags[ji] {
-                            e.insert(Gathered::One(v));
-                        } else {
-                            e.insert(Gathered::Many(vec![v]));
-                        }
-                    }
+                if fold_flags[ji] {
+                    fold_into(jobs[ji], &mut folded[ji], k, v);
+                } else {
+                    grouped[ji].push(key_hash(&k), k, v);
                 }
             }
-            for ((ji, k), gathered) in grouped {
-                let reduced = match gathered {
-                    Gathered::One(v) => jobs[ji].reduce(&k, std::slice::from_ref(&v)),
-                    Gathered::Many(vs) => jobs[ji].reduce(&k, &vs),
-                };
-                if let Some(o) = reduced {
-                    out[ji].push((k, o));
-                }
+            for (ji, (map, groups)) in folded.into_iter().zip(grouped).enumerate() {
+                reduce_folded(jobs[ji], map, &mut out[ji]);
+                sort_group_reduce(jobs[ji], [groups], &mut out[ji]);
             }
         }
         out
     });
 
-    // Per job: concatenate every worker's (duplicate-free) part, sort once,
-    // bulk-build the ordered output.
+    // Per job: each key lives in one partition and each partition's part is
+    // sorted, so the concatenation is a duplicate-free sequence of sorted
+    // runs: `from_iter`'s stable sort merges them, then bulk-builds.
     let mut flat: Vec<Vec<(J::K, J::Out)>> = (0..num_jobs).map(|_| Vec::new()).collect();
     for worker in reduced {
-        for (ji, part) in worker.into_iter().enumerate() {
-            flat[ji].extend(part);
+        for (ji, mut part) in worker.into_iter().enumerate() {
+            flat[ji].append(&mut part);
         }
     }
-    let mut records: Vec<BTreeMap<J::K, J::Out>> = Vec::with_capacity(num_jobs);
-    for mut part in flat {
-        part.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        records.push(BTreeMap::from_iter(part));
-    }
+    let records: Vec<BTreeMap<J::K, J::Out>> = flat.into_iter().map(BTreeMap::from_iter).collect();
     if let (Some(c), Some(t0)) = (core, reduce_t0) {
         c.tracer
             .span("merged_reduce_phase", t0, Ids::none().jobs(num_jobs as u64));

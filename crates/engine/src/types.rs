@@ -290,8 +290,16 @@ pub trait MapReduceJob: Send + Sync {
         }
     }
 
-    /// Optional map-side combiner: fold a run of values for one key into a
-    /// smaller run. Defaults to the identity (no combining).
+    /// Optional combiner: fold a run of values for one key into a smaller
+    /// run. Defaults to the identity (no combining).
+    ///
+    /// As in MapReduce, the engine decides where and how often it runs: per
+    /// block on the map side ([`crate::run_job`], [`crate::run_merged`]),
+    /// and once more per key on the reduce side of every executor, over the
+    /// concatenation of what the earlier applications returned — so a key's
+    /// values may pass through `combine` more than once. The output must not
+    /// depend on that: `reduce(k, combine(k, a ++ b))` has to equal
+    /// `reduce(k, combine(k, combine(k, a) ++ combine(k, b)))`.
     fn combine(&self, _key: &Self::K, values: Vec<Self::V>) -> Vec<Self::V> {
         values
     }

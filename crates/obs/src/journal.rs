@@ -25,7 +25,9 @@
 //!   ranges, so this countdown is what makes shared segments attributable
 //!   to individual jobs;
 //! - **reduce** — scan end → terminal instant (reduce-pool queueing plus
-//!   the job's combine/reduce shards, which are also listed individually);
+//!   the job's combine/reduce shards, which are also listed individually,
+//!   plus the serial `publish` tail on the last shard's worker, reported
+//!   as `publish_us`);
 //! - **recovery** (overlaps scan, reported separately) — the summed
 //!   durations of `recovered` instants inside the job's scan window: how
 //!   much re-execution latency the job's revolution absorbed from lost or
@@ -118,8 +120,14 @@ pub struct JobRecord {
     pub queue_us: u64,
     /// Admit → scan end.
     pub scan_us: u64,
-    /// Scan end → terminal (reduce-pool queueing + shards).
+    /// Scan end → terminal (reduce-pool queueing + shards + publish).
     pub reduce_us: u64,
+    /// Duration of the job's `publish` span — the serial tail of the
+    /// reduce, after the last parallel shard: concatenate the parts, build
+    /// the output, wake the handle. Part of `reduce_us`; 0 for jobs that
+    /// published no output and for traces predating the span.
+    #[serde(default)]
+    pub publish_us: u64,
     /// Summed `recovered` durations inside the scan window — re-execution
     /// latency absorbed from lost/straggling blocks. Overlaps `scan_us`;
     /// not part of the queue+scan+reduce identity.
@@ -164,6 +172,7 @@ struct JobBuilder {
     terminals: Vec<(u64, Outcome)>,
     blocks_reported: Option<u64>,
     reduce_shards: Vec<ShardSlice>,
+    publish_us: u64,
 }
 
 impl JobJournal {
@@ -221,6 +230,9 @@ impl JobJournal {
                         dur_us: ev.dur_us,
                         records,
                     });
+                }
+                ("publish", Phase::Span) => {
+                    jobs.entry(ev.ids.job).or_default().publish_us = ev.dur_us;
                 }
                 ("segment", Phase::Span) => {
                     segments.push((ev.ts_us, ev.dur_us, ev.ids.seg, ev.ids.n));
@@ -310,6 +322,7 @@ impl JobJournal {
                     queue_us,
                     scan_us,
                     reduce_us,
+                    publish_us: b.publish_us,
                     recovery_us,
                     blocks_covered,
                     blocks_reported: b.blocks_reported,
@@ -333,15 +346,17 @@ impl JobJournal {
     ///
     /// 1. every job has exactly one terminal event;
     /// 2. every completed (`Done`) job has exactly one admit;
-    /// 3. the queue/scan/reduce decomposition sums exactly to the latency;
+    /// 3. the queue/scan/reduce decomposition sums exactly to the latency,
+    ///    and the publish tail lies inside the reduce component;
     /// 4. a completed job's segment slices cover exactly its reported
     ///    block count.
     ///
     /// When [`dropped_events`] is non-zero the ring overwrote history, and
     /// truncation can only *lose* events: the coverage check (4) is skipped
     /// and the exactly-once checks (1–2) relax to at-most-once — duplicate
-    /// admits/terminals still fail, missing ones don't. The decomposition
-    /// identity (3) holds by construction and is checked regardless.
+    /// admits/terminals still fail, missing ones don't — and neither does a
+    /// publish tail whose scan end was lost. The decomposition identity (3)
+    /// holds by construction and is checked regardless.
     ///
     /// [`dropped_events`]: JobJournal::dropped_events
     ///
@@ -365,6 +380,12 @@ impl JobJournal {
                 return Err(format!(
                     "job {}: decomposition {} + {} + {} != latency {}",
                     j.id, j.queue_us, j.scan_us, j.reduce_us, j.latency_us
+                ));
+            }
+            if complete_ring && j.publish_us > j.reduce_us {
+                return Err(format!(
+                    "job {}: publish {} us outside its reduce phase of {} us",
+                    j.id, j.publish_us, j.reduce_us
                 ));
             }
             let sliced: u64 = j.segments.iter().map(|s| s.blocks_for_job).sum();
@@ -456,6 +477,7 @@ impl JobJournal {
                     ("queue_us".into(), Value::from(j.queue_us)),
                     ("scan_us".into(), Value::from(j.scan_us)),
                     ("reduce_us".into(), Value::from(j.reduce_us)),
+                    ("publish_us".into(), Value::from(j.publish_us)),
                     ("recovery_us".into(), Value::from(j.recovery_us)),
                 ],
             });
@@ -495,6 +517,7 @@ mod tests {
             span(110, 80, "segment", Ids::seg(2).jobs(2)),
             // job 0 reduces and finishes
             span(200, 30, "reduce_shard", Ids::job(0).shard(0).jobs(12)),
+            span(231, 8, "publish", Ids::job(0)),
             instant(240, "job_done", Ids::job(0).jobs(4)),
             // job 1 quarantines in reduce
             instant(260, "quarantine", Ids::job(1)),
@@ -510,6 +533,7 @@ mod tests {
         assert_eq!(j0.queue_us, 6); // 11 - 5
         assert_eq!(j0.scan_us, 179); // admit 11 → seg2 end 190
         assert_eq!(j0.reduce_us, 50); // 190 → 240
+        assert_eq!(j0.publish_us, 8);
         assert_eq!(j0.latency_us, 235);
         assert_eq!(j0.queue_us + j0.scan_us + j0.reduce_us, j0.latency_us);
         assert_eq!(j0.blocks_covered, 4);
@@ -525,6 +549,7 @@ mod tests {
         let j1 = &j.jobs[1];
         assert_eq!(j1.outcome, Outcome::Quarantined);
         assert_eq!(j1.blocks_covered, 4); // store estimate: max segment end
+        assert_eq!(j1.publish_us, 0);
         assert_eq!(j1.queue_us + j1.scan_us + j1.reduce_us, j1.latency_us);
     }
 

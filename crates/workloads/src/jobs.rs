@@ -9,7 +9,7 @@
 //!   (`SELECT l_orderkey, ... WHERE l_quantity > VAL`); different
 //!   thresholds make different jobs.
 
-use crate::lineitem::parse_row_bytes;
+use crate::lineitem::{parse_row_bytes, LineItem};
 use s3_engine::MapReduceJob;
 
 /// Which words a [`PatternWordCount`] counts.
@@ -184,14 +184,7 @@ impl MapReduceJob for SelectionJob {
     fn map_bytes(&self, line: &[u8], emit: &mut dyn FnMut(String, String)) {
         if let Some(row) = parse_row_bytes(line) {
             if row.quantity > self.quantity_threshold {
-                let key = format!("{:012}", row.orderkey);
-                let value = format!(
-                    "{}|{}.{:02}|0.{:02}",
-                    row.orderkey,
-                    row.extendedprice_cents / 100,
-                    row.extendedprice_cents % 100,
-                    row.discount_pct
-                );
+                let (key, value) = selection_pair(&row);
                 emit(key, value);
             }
         }
@@ -201,6 +194,50 @@ impl MapReduceJob for SelectionJob {
         // Selection: pass the (single) projected tuple through.
         values.first().cloned()
     }
+}
+
+/// The pair a selected row emits: key `{orderkey:012}`, value
+/// `{orderkey}|{dollars}.{cents:02}|0.{discount:02}`. Written digit by digit
+/// into exactly-sized strings — this runs once per selected row, and two
+/// `format!` passes cost more than the rest of the row's map.
+fn selection_pair(row: &LineItem) -> (String, String) {
+    let (dollars, cents) = (row.extendedprice_cents / 100, row.extendedprice_cents % 100);
+    let discount = u64::from(row.discount_pct);
+    let mut key = String::with_capacity(decimal_len(row.orderkey).max(12));
+    push_decimal(&mut key, row.orderkey, 12);
+    let mut value = String::with_capacity(
+        decimal_len(row.orderkey) + decimal_len(dollars) + decimal_len(discount).max(2) + 7,
+    );
+    push_decimal(&mut value, row.orderkey, 1);
+    value.push('|');
+    push_decimal(&mut value, dollars, 1);
+    value.push('.');
+    push_decimal(&mut value, cents, 2);
+    value.push_str("|0.");
+    push_decimal(&mut value, discount, 2);
+    (key, value)
+}
+
+/// Digits in `n`'s decimal form.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Append `n` in decimal, zero-padded to at least `width` (≤ 20) digits —
+/// what `{:0width$}` writes.
+fn push_decimal(out: &mut String, mut n: u64, width: usize) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    let at = at.min(digits.len().saturating_sub(width));
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Distributed grep (the original MapReduce paper's canonical example):
@@ -374,6 +411,48 @@ mod tests {
         for key in merged[0].records.keys() {
             assert!(merged[2].records.contains_key(key));
         }
+    }
+
+    #[test]
+    fn selection_pair_is_byte_identical_to_the_format_form() {
+        let formatted = |row: &LineItem| {
+            (
+                format!("{:012}", row.orderkey),
+                format!(
+                    "{}|{}.{:02}|0.{:02}",
+                    row.orderkey,
+                    row.extendedprice_cents / 100,
+                    row.extendedprice_cents % 100,
+                    row.discount_pct
+                ),
+            )
+        };
+        let mut rows = Vec::new();
+        let (mut gen, mut rng) = (LineItemGen::new(), SimRng::seed_from_u64(13));
+        let mut sink = String::new();
+        for _ in 0..2000 {
+            rows.push(gen.append_row(&mut rng, &mut sink));
+        }
+        // Edges: keys at and past the pad width, one-digit and zero cents,
+        // discounts 0 and 10 (and one no generated row has), u64 extremes.
+        for orderkey in [0, 9, 999_999_999_999, 1_000_000_000_000, 123_456_789_012_345, u64::MAX] {
+            for extendedprice_cents in [0, 7, 99, 100, 109, 9_000_000, u64::MAX] {
+                for discount_pct in [0, 5, 10, 123, u32::MAX] {
+                    rows.push(LineItem { orderkey, quantity: 50, extendedprice_cents, discount_pct });
+                }
+            }
+        }
+        for row in &rows {
+            let (key, value) = selection_pair(row);
+            assert_eq!(key.capacity(), key.len(), "key of {row:?} is sized exactly");
+            assert_eq!(value.capacity(), value.len(), "value of {row:?} is sized exactly");
+            assert_eq!((key, value), formatted(row));
+        }
+        // And through the job: what `map_bytes` emits for a generated row.
+        let line = sink.lines().next().expect("rows were generated");
+        let mut emitted = Vec::new();
+        SelectionJob { quantity_threshold: 0 }.map_bytes(line.as_bytes(), &mut |k, v| emitted.push((k, v)));
+        assert_eq!(emitted, vec![formatted(&rows[0])]);
     }
 
     #[test]

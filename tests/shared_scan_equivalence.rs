@@ -4,9 +4,11 @@
 //! reducer configurations.
 
 use s3_engine::{
-    run_job, run_merged, run_merged_legacy, BlockStore, ExecConfig, FtConfig, ServerConfig,
-    SharedScanServer,
+    run_job, run_job_legacy, run_merged, run_merged_legacy, BlockStore, ExecConfig, FtConfig, Obs,
+    PartitionMode, ServerConfig, SharedScanServer,
 };
+use s3_mapreduce::check_engine_events;
+use s3_obs::JobJournal;
 use s3_sim::SimRng;
 use s3_workloads::jobs::{PatternWordCount, SelectionJob, WordPattern};
 use s3_workloads::lineitem::LineItemGen;
@@ -190,5 +192,71 @@ fn pattern_riders_equal_the_unindexed_oracle() {
             }
         }
         assert!(oracle.iter().any(|o| !o.records.is_empty()));
+    }
+}
+
+/// The paper's second workload family on the live server: `SelectionJob`
+/// riders (non-fold, line-based, every key unique), staggered so that later
+/// ones join mid-revolution and wrap, equal the legacy executor — records
+/// and map-output counts — on both scan loops, under hash and weighted
+/// partitioning (split factor 1.0, the tightest), at 1, 2 and 4 threads and
+/// at block cuts that fall mid-row; the traces satisfy the engine's and the
+/// journal's invariants.
+#[test]
+fn staggered_selection_riders_equal_the_legacy_oracle() {
+    let text = LineItemGen::new().generate(&mut SimRng::seed_from_u64(2027), 384 << 10);
+    let jobs: Vec<SelectionJob> =
+        (5..=45).step_by(10).map(|t| SelectionJob { quantity_threshold: t }).collect();
+    let tight = PartitionMode::Weighted { split_factor_x1000: 1000 };
+    for block_bytes in [1_000, 8 << 10, 37_123] {
+        let store = BlockStore::from_bytes(text.as_bytes(), block_bytes);
+        let one = ExecConfig { num_threads: 1, num_reducers: 3, ..ExecConfig::default() };
+        let oracle: Vec<_> = jobs.iter().map(|j| run_job_legacy(j, &store, &one)).collect();
+        assert!(oracle.windows(2).all(|w| w[1].records.len() < w[0].records.len()));
+        for ft in [FtConfig::default(), FtConfig::resilient()] {
+            for partition in [PartitionMode::Hash, tight] {
+                for threads in [1, 2, 4] {
+                    let mode = format!(
+                        "{block_bytes}-byte blocks, speculation {}, {partition:?}, {threads} threads",
+                        ft.speculation
+                    );
+                    let obs = Obs::new();
+                    let mut cfg = ServerConfig::new(4, threads);
+                    cfg.ft = ft.clone();
+                    cfg.partition = partition;
+                    cfg.obs = obs.clone();
+                    let server = SharedScanServer::with_config(store.clone(), cfg);
+                    let handles: Vec<_> = jobs
+                        .iter()
+                        .map(|job| {
+                            // One segment apart, or 2 ms if the scan went idle.
+                            let seen = server.iterations();
+                            let handle = server.submit(job.clone());
+                            let t0 = std::time::Instant::now();
+                            while server.iterations() == seen && t0.elapsed().as_millis() < 2 {
+                                std::thread::yield_now();
+                            }
+                            handle
+                        })
+                        .collect();
+                    for ((h, want), job) in handles.into_iter().zip(&oracle).zip(&jobs) {
+                        let out = h.wait().expect("job completes");
+                        let t = job.quantity_threshold;
+                        assert_eq!(out.records, want.records, "{mode}: threshold {t}");
+                        assert_eq!(
+                            out.stats.map_output_records, want.stats.map_output_records,
+                            "{mode}: threshold {t}"
+                        );
+                    }
+                    server.shutdown();
+                    let core = obs.core().expect("obs is on");
+                    let events = core.tracer.drain();
+                    assert_eq!(core.tracer.dropped(), 0, "{mode}: the run fits the ring");
+                    let violations = check_engine_events(&events);
+                    assert!(violations.is_empty(), "{mode}: {violations:?}");
+                    JobJournal::from_events(&events).validate().unwrap_or_else(|e| panic!("{mode}: {e}"));
+                }
+            }
+        }
     }
 }
