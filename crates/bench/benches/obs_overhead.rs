@@ -5,8 +5,8 @@
 //! plain constructors benchmark within noise (<2%) of each other. The
 //! `metrics`/`full` variants measure what enabling costs, for the record:
 //!
-//! - `single_job/off` vs `single_job/full`: `run_job_on` through
-//!   `run_job_observed` with `Obs::off()` vs a live handle;
+//! - `single_job/off` vs `single_job/full`: `run_merged_observed` of one
+//!   job with `Obs::off()` vs a live handle;
 //! - `shared_scan/off` vs `shared_scan/metrics` vs `shared_scan/full`:
 //!   an unobserved server vs observed with tracing disabled (metrics
 //!   only) vs observed with the trace recorder on.
@@ -16,7 +16,9 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use s3_engine::{run_job_observed, BlockStore, ExecConfig, Obs, SharedScanServer, WorkerPool};
+use s3_engine::{
+    run_merged_observed, BlockStore, ExecConfig, Obs, ServerConfig, SharedScanServer, WorkerPool,
+};
 use s3_sim::SimRng;
 use s3_workloads::jobs::PatternWordCount;
 use s3_workloads::text::TextGen;
@@ -37,7 +39,10 @@ fn prefixes(k: usize) -> Vec<String> {
 }
 
 fn shared_scan(store: &BlockStore, obs: &Obs) {
-    let server = SharedScanServer::new_observed(store.clone(), 1, THREADS, obs);
+    let server = SharedScanServer::with_config(
+        store.clone(),
+        ServerConfig { obs: obs.clone(), ..ServerConfig::new(1, THREADS) },
+    );
     let handles: Vec<_> = prefixes(SHARED_JOBS)
         .into_iter()
         .map(|p| server.submit(PatternWordCount::prefix(p)))
@@ -62,12 +67,12 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(store.total_bytes() as u64));
     g.bench_function("off", |b| {
         let pool = WorkerPool::new(THREADS);
-        b.iter(|| run_job_observed(&pool, &job, &store, &cfg, &Obs::off()));
+        b.iter(|| run_merged_observed(&pool, &[&job], &store, &cfg, &Obs::off()));
     });
     g.bench_function("full", |b| {
         let obs = Obs::new();
         let pool = WorkerPool::new_observed(THREADS, "bench", &obs);
-        b.iter(|| run_job_observed(&pool, &job, &store, &cfg, &obs));
+        b.iter(|| run_merged_observed(&pool, &[&job], &store, &cfg, &obs));
     });
     g.finish();
 

@@ -8,7 +8,7 @@
 //! claim is that the 8- and 16-rider lines stay close to the 1-rider line.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use s3_engine::{run_merged_on, BlockStore, ExecConfig, TokenMap, WorkerPool};
+use s3_engine::{run_merged_observed, BlockStore, ExecConfig, Obs, TokenMap, WorkerPool};
 use s3_sim::SimRng;
 use s3_workloads::jobs::PatternWordCount;
 use s3_workloads::text::TextGen;
@@ -86,7 +86,7 @@ fn bench_fan_out(c: &mut Criterion) {
         let jobs = prefix_riders(riders);
         let refs: Vec<&PatternWordCount> = jobs.iter().collect();
         g.bench_with_input(BenchmarkId::new("riders", riders), &refs, |b, refs| {
-            b.iter(|| run_merged_on(&pool, black_box(refs), &store, &cfg));
+            b.iter(|| run_merged_observed(&pool, black_box(refs), &store, &cfg, &Obs::off()));
         });
     }
     g.finish();

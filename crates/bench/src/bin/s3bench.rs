@@ -421,8 +421,10 @@ fn bench_kernel_throughput(store: &BlockStore, repeats: usize) -> (f64, f64, f64
 /// so readers of `s3bench-engine/v1` are unaffected.
 fn capture_metrics_snapshot(store: &BlockStore) -> serde_json::Value {
     let obs = Obs::new();
-    let server =
-        SharedScanServer::new_observed(store.clone(), BLOCKS_PER_SEGMENT, THREADS, &obs);
+    let server = SharedScanServer::with_config(
+        store.clone(),
+        ServerConfig { obs: obs.clone(), ..ServerConfig::new(BLOCKS_PER_SEGMENT, THREADS) },
+    );
     let handles: Vec<_> = prefixes(SHARED_JOBS)
         .into_iter()
         .map(|p| server.submit(PatternWordCount::prefix(p)))

@@ -438,7 +438,7 @@ fn replay_one(seed: u64, cluster: &ClusterTopology, dataset: &Dataset, plan: &Ch
 /// accounting identity, and a run-twice replay proof.
 mod engine_fuzz {
     use s3_engine::{
-        run_job, AdaptiveConfig, BlockStore, EngineChaosConfig, EngineFault, ExecConfig,
+        run_job_legacy, AdaptiveConfig, BlockStore, EngineChaosConfig, EngineFault,
         FaultPlan, FtConfig, Obs, PartitionMode, ServerConfig, SharedScanServer,
     };
     use s3_mapreduce::check_engine_events;
@@ -521,15 +521,7 @@ mod engine_fuzz {
         let solo = JOB_PREFIXES
             .iter()
             .map(|p| {
-                let out = run_job(
-                    &PatternWordCount::prefix(*p),
-                    &store,
-                    &ExecConfig {
-                        num_threads: 1,
-                        num_reducers: 4,
-                    ..ExecConfig::default()
-                    },
-                );
+                let out = run_job_legacy(&PatternWordCount::prefix(*p), &store);
                 (*p, out.records)
             })
             .collect();
@@ -850,7 +842,7 @@ mod engine_fuzz {
 /// invariants above must hold on *every* interleaving.
 mod service_fuzz {
     use s3_engine::{
-        run_job, BlockStore, EngineChaosConfig, ExecConfig, FaultPlan, FileSpec, FtConfig,
+        run_job_legacy, BlockStore, EngineChaosConfig, FaultPlan, FileSpec, FtConfig,
         JobError, Obs, QosConfig, ScanService, ServerConfig, ServiceConfig,
     };
     use s3_mapreduce::check_engine_events;
@@ -895,15 +887,7 @@ mod service_fuzz {
                 JOB_PREFIXES
                     .iter()
                     .map(|p| {
-                        let out = run_job(
-                            &PatternWordCount::prefix(*p),
-                            store,
-                            &ExecConfig {
-                                num_threads: 1,
-                                num_reducers: 4,
-                            ..ExecConfig::default()
-                            },
-                        );
+                        let out = run_job_legacy(&PatternWordCount::prefix(*p), store);
                         (*p, out.records)
                     })
                     .collect()

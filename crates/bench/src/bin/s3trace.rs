@@ -26,7 +26,7 @@
 //! ```
 
 use s3_bench::scenario::ScenarioSpec;
-use s3_engine::{Obs, SharedScanServer};
+use s3_engine::{Obs, ServerConfig, SharedScanServer};
 use s3_obs::chrome::{engine_event_to_chrome, validate_chrome_trace, write_chrome_trace, ChromeEvent};
 use s3_obs::{HistogramSnapshot, JobJournal};
 use s3_sim::SimRng;
@@ -105,8 +105,10 @@ fn run_engine(args: &[String]) {
     let store = s3_engine::BlockStore::from_text(&text, BLOCK_BYTES);
 
     let obs = Obs::new();
-    let server =
-        SharedScanServer::new_observed(store.clone(), BLOCKS_PER_SEGMENT, THREADS, &obs);
+    let server = SharedScanServer::with_config(
+        store.clone(),
+        ServerConfig { obs: obs.clone(), ..ServerConfig::new(BLOCKS_PER_SEGMENT, THREADS) },
+    );
 
     eprintln!(
         "s3trace: {} blocks, {} segments, {SHARED_JOBS} jobs + 1 late probe, {THREADS} threads",

@@ -3,7 +3,7 @@
 //! tokens it could match, not for another pass over every token.
 //!
 //! A [`RiderIndex`] is built over the per-token jobs of one shared scan
-//! (one segment of a server, one `run_merged`/`run_job` call) from the
+//! (one segment of a server, one batch run) from the
 //! prefixes they declare ([`MapReduceJob::token_prefix`]). It holds one
 //! 256-entry table of rider bitmasks per leading byte position; AND-ing
 //! the entries a token's leading bytes select yields the riders whose
@@ -22,9 +22,13 @@
 //! read the vector of all tokens, exactly the pass they made before.
 //! Keeping the second phase rider-major keeps the callers' per-(job, block)
 //! panic quarantine and their per-job `emitted` counts where they were.
+//!
+//! [`scan_block_for_job`] is the step every executor shares — the map core:
+//! one rider's map over one block into that worker's accumulator, through
+//! the kernel for per-token riders and line by line for the rest.
 
 use crate::arena::{load8, TokenMap};
-use crate::exec::ScanPath;
+use crate::reduce::{JobAcc, JobPartial};
 use crate::types::MapReduceJob;
 
 /// One token of a block: `(offset, length)`.
@@ -85,15 +89,12 @@ pub(crate) enum TokenSink<'a, J: MapReduceJob> {
 }
 
 impl RiderIndex {
-    /// Index `jobs` for one shared scan. On [`ScanPath::Legacy`] — the
-    /// unindexed oracle — nothing routes into the kernel.
-    pub(crate) fn over<'j, J: MapReduceJob + 'j>(
-        jobs: impl IntoIterator<Item = &'j J>,
-        scan_path: ScanPath,
-    ) -> Self {
-        Self::new(jobs.into_iter().map(|job| {
-            (scan_path == ScanPath::Kernel && job.map_is_per_token()).then(|| job.token_prefix())
-        }))
+    /// Index `jobs` for one shared scan.
+    pub(crate) fn over<'j, J: MapReduceJob + 'j>(jobs: impl IntoIterator<Item = &'j J>) -> Self {
+        Self::new(
+            jobs.into_iter()
+                .map(|job| job.map_is_per_token().then(|| job.token_prefix())),
+        )
     }
 
     /// One entry per rider: `None` for a line rider, else its prefix.
@@ -221,6 +222,45 @@ impl RiderIndex {
                     job.map_token_bytes(&block[start..start + len], emit);
                 }
             }
+        }
+    }
+}
+
+/// The map core: run one job's map over one block into its worker's
+/// partial. Every executor's per-(rider, block) step is this call.
+///
+/// Per-token jobs map the tokens the scan's fan-out index (`fan`, in which
+/// this job is rider `rider`) selected for them out of the block — the
+/// caller runs [`RiderIndex::select`] once per block, for all jobs;
+/// token-identity jobs fold straight into the arena accumulator. Line jobs
+/// walk the block through the SWAR line iterator.
+///
+/// User map code may panic: the server wraps each call in its
+/// per-(job, block) `catch_unwind`, the batch front lets it unwind.
+pub(crate) fn scan_block_for_job<J: MapReduceJob>(
+    job: &J,
+    block: &[u8],
+    fan: &RiderIndex,
+    sel: &Selection,
+    rider: usize,
+    partial: &mut JobPartial<J>,
+) {
+    let JobPartial { emitted, acc } = partial;
+    if job.map_is_per_token() {
+        let sink = match acc {
+            JobAcc::Tok(map) => TokenSink::Arena { map, emitted },
+            _ => TokenSink::Emit(&mut |k, v| {
+                *emitted += 1;
+                acc.push(job, k, v);
+            }),
+        };
+        fan.map_rider(sel, rider, job, block, sink);
+    } else {
+        for line in memchr::lines(block) {
+            job.map_bytes(line, &mut |k, v| {
+                *emitted += 1;
+                acc.push(job, k, v);
+            });
         }
     }
 }

@@ -10,29 +10,32 @@
 //! 1. **Semantic grounding.** The S³/MRShare claim that a merged shared
 //!    scan computes exactly what independent jobs compute is a correctness
 //!    property. [`run_merged`] runs many jobs over a single scan of the
-//!    block store and the test suite proves its outputs are identical to
-//!    [`run_job`] run per job.
+//!    block store, [`run_job`] is the same scan with one rider, and the
+//!    test suite proves both — and every [`SharedScanServer`] revolution —
+//!    equal to [`run_job_legacy`], a sequential reference that shares no
+//!    code with them.
 //! 2. **Cost grounding.** The real engine measures how shared scanning
 //!    trades one pass of I/O + parsing against per-job map function work —
 //!    the same structure the simulator's `CostModel` (in `s3-mapreduce`)
 //!    encodes.
 //!
-//! The execution shape mirrors Hadoop: map workers pull blocks, partition
-//! their output by key hash, an optional combiner folds map-side, and
-//! reduce workers process partitions.
+//! The execution shape mirrors Hadoop: map workers pull blocks, route
+//! their output to reduce shards by key hash, a fold combiner (if the job
+//! declares one) folds map-side, and reduce workers process the shards.
+//! One map core and one reduce core serve the batch front and the server
+//! alike (DESIGN.md, "One map core, one reduce core").
 //!
 //! ## Observability
 //!
-//! Every entry point has an `*_observed` variant taking an [`Obs`] handle
-//! (from the `s3-obs` crate, re-exported here): [`run_job_observed`],
-//! [`run_merged_observed`], [`run_job_external_observed`],
-//! [`SharedScanServer::new_observed`], and
+//! Telemetry is an [`Obs`] handle (from the `s3-obs` crate, re-exported
+//! here) given to [`run_merged_observed`], [`run_job_external_observed`],
+//! [`ServerConfig::obs`] or
 //! [`WorkerPool::new_observed`](pool::WorkerPool::new_observed). They
 //! record `engine.*` counters/gauges/histograms into the handle's metrics
 //! registry and spans/instants into its trace recorder, exportable as a
-//! Perfetto-loadable Chrome trace. The plain variants are the observed
-//! ones with [`Obs::off`] — telemetry disabled costs one branch per site.
-
+//! Perfetto-loadable Chrome trace. [`Obs::off`] — what [`run_job`],
+//! [`run_merged`] and [`ServerConfig::new`] use — costs one branch per
+//! site.
 //!
 //! ## Fault tolerance
 //!
@@ -67,14 +70,13 @@ pub(crate) mod reduce;
 pub mod retry;
 pub mod scan_server;
 pub mod service;
-pub mod shared;
 pub mod store;
 pub mod types;
 
 pub use arena::TokenMap;
 pub use exec::{
-    run_job, run_job_legacy, run_job_observed, run_job_on, ExecConfig, JobOutput, ScanPath,
-    ScanStats,
+    run_job, run_job_legacy, run_merged, run_merged_legacy, run_merged_observed, ExecConfig,
+    JobOutput, ScanStats,
 };
 pub use external::{
     run_job_external, run_job_external_observed, run_merged_external,
@@ -88,6 +90,5 @@ pub use scan_server::{
     AdaptiveConfig, JobHandle, ServerConfig, SharedScanServer, WaitTimeout,
 };
 pub use service::{FileSpec, QosConfig, ScanService, ServiceConfig, ServiceStats};
-pub use shared::{run_merged, run_merged_legacy, run_merged_observed, run_merged_on};
 pub use store::{BlockStore, FileCatalog, FileId, NonUtf8Block, UnknownFile};
 pub use types::{ConfigError, JobError, JobResult, MapReduceJob, PartitionMode, QosClass, RejectReason};

@@ -1,6 +1,10 @@
-//! The reduce core shared by every executor: group a non-fold job's records
-//! by key, and turn one shard's reduce input into its sorted
-//! `(key, output)` part.
+//! The reduce core shared by every executor: what a worker accumulates for a
+//! job while it scans ([`JobAcc`]), and the four steps that turn the
+//! workers' accumulators into the job's output relation — [`plan_bins`],
+//! [`split_into_bins`], [`reduce_bin`], [`assemble`]. The batch front
+//! (`exec.rs`) calls them in a row; the server (`scan_server.rs`) calls the
+//! same four from its reduce-pool tasks, each under its own `catch_unwind`
+//! (DESIGN.md, "One map core, one reduce core").
 //!
 //! A job without a fold combiner keeps every value, but need not keep a
 //! hot key once per value: its records are grouped where they are emitted,
@@ -21,14 +25,246 @@
 //! `BTreeMap::from_iter`, whose stable sort detects the sorted runs and
 //! merges them.
 
-use crate::partition::key_hash;
-use crate::types::MapReduceJob;
+use crate::arena::TokenMap;
+use crate::exec::{JobOutput, ScanStats};
+use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
+use crate::types::{MapReduceJob, PartitionMode};
 use fxhash::FxHashMap;
 use std::collections::hash_map::Entry;
-use std::hash::Hash;
+use std::collections::BTreeMap;
+
+/// Map-side accumulator for one job on one worker. Fold jobs stream into
+/// one value per key; token-identity fold jobs
+/// ([`MapReduceJob::map_emits_token`]) fold under the raw token bytes in a
+/// [`TokenMap`] arena, and no key is materialized until the finish-time
+/// flush calls `token_key` once per distinct token. A job without a fold
+/// combiner keeps every value, so its accumulator is already the
+/// reduce-side layout: one [`Groups`] table per reduce shard, routed at
+/// emit by the key's hash, which the table keeps (see DESIGN.md, "The
+/// reduce path").
+pub(crate) enum JobAcc<J: MapReduceJob> {
+    Fold(FxHashMap<J::K, J::V>),
+    Grouped(Vec<ShardGroups<J>>),
+    Tok(TokenMap<J::V>),
+}
+
+/// A non-fold job's records of one reduce shard, grouped by key.
+pub(crate) type ShardGroups<J> = Groups<<J as MapReduceJob>::K, <J as MapReduceJob>::V>;
+
+impl<J: MapReduceJob> JobAcc<J> {
+    /// The accumulator kind is a pure function of the job's declared flags
+    /// and the reduce width, so every worker (and the resilient scan
+    /// path's block-local accumulators) picks the same variant, with the
+    /// same shard count, for a job.
+    fn for_job(job: &J, nshards: usize) -> Self {
+        if job.combine_is_fold() {
+            if job.map_emits_token() {
+                JobAcc::Tok(TokenMap::new())
+            } else {
+                JobAcc::Fold(FxHashMap::default())
+            }
+        } else {
+            JobAcc::Grouped((0..nshards).map(|_| Groups::new()).collect())
+        }
+    }
+
+    pub(crate) fn push(&mut self, job: &J, k: J::K, v: J::V) {
+        match self {
+            JobAcc::Fold(map) => fold_into(job, map, k, v),
+            JobAcc::Grouped(shards) => {
+                let hash = key_hash(&k);
+                let shard = shard_of_hash(hash, shards.len());
+                shards[shard].push(hash, k, v);
+            }
+            JobAcc::Tok(_) => unreachable!("token-identity jobs fold inside the fan-out kernel"),
+        }
+    }
+
+    /// Merge a committed block-local accumulator into this (persistent)
+    /// one — the resilient scan path's idempotent-commit step.
+    pub(crate) fn merge(&mut self, job: &J, other: JobAcc<J>) {
+        match (self, other) {
+            (JobAcc::Fold(m), JobAcc::Fold(o)) => {
+                for (k, v) in o {
+                    fold_into(job, m, k, v);
+                }
+            }
+            (JobAcc::Grouped(m), JobAcc::Grouped(o)) => {
+                for (shard, block_shard) in m.iter_mut().zip(o) {
+                    shard.append(block_shard);
+                }
+            }
+            (JobAcc::Tok(m), JobAcc::Tok(o)) => {
+                m.merge_from(o, |acc, next| job.combine_fold(acc, next));
+            }
+            _ => unreachable!("accumulator kinds are fixed per job"),
+        }
+    }
+}
+
+/// One worker's accumulated state for one job over the scan so far.
+pub(crate) struct JobPartial<J: MapReduceJob> {
+    /// Records the job's map emitted on this worker (pre-combiner).
+    pub(crate) emitted: u64,
+    pub(crate) acc: JobAcc<J>,
+}
+
+impl<J: MapReduceJob> JobPartial<J> {
+    /// An empty partial for `job`, reducing over `nshards` shards.
+    pub(crate) fn new(job: &J, nshards: usize) -> Self {
+        JobPartial {
+            emitted: 0,
+            acc: JobAcc::for_job(job, nshards),
+        }
+    }
+}
+
+/// One bin's reduced output: (key, output) pairs sorted by key.
+pub(crate) type ReducedPart<J> = Vec<(<J as MapReduceJob>::K, <J as MapReduceJob>::Out)>;
+
+/// One bin's reduce input.
+pub(crate) enum ShardInput<J: MapReduceJob> {
+    /// Fold job: one value per key, the workers' maps merged by the flush.
+    Folded(FxHashMap<J::K, J::V>),
+    /// Non-fold job: the tables routed to this bin, in worker order.
+    Grouped(Vec<ShardGroups<J>>),
+}
+
+/// Step 1, [`PartitionMode::Weighted`] only (`None` under `Hash`): sketch
+/// each worker accumulator's combiner-output key distribution (weight =
+/// reduce-input records it will contribute), merge the per-worker sketches,
+/// and build the routing plan over `nshards` base bins. The plan's estimates
+/// sum exactly to the records [`split_into_bins`] will route.
+///
+/// Runs the job's `token_key` and `Hash`, which may panic.
+pub(crate) fn plan_bins<J: MapReduceJob>(
+    job: &J,
+    partials: &[JobAcc<J>],
+    nshards: usize,
+    partition: PartitionMode,
+) -> Option<PartitionPlan> {
+    if !partition.is_weighted() {
+        return None;
+    }
+    let mut merged = KeySketch::new().finish();
+    for acc in partials {
+        let mut s = KeySketch::new();
+        match acc {
+            JobAcc::Fold(m) => {
+                for k in m.keys() {
+                    s.observe(key_hash(k), 1);
+                }
+            }
+            // Hash the *materialized* key — `token_key` may collapse
+            // distinct tokens — so the sketch agrees with the split.
+            JobAcc::Tok(m) => m.for_each(|tok, _| {
+                s.observe(key_hash(&job.token_key(tok)), 1);
+            }),
+            JobAcc::Grouped(shards) => {
+                for (hash, values) in shards.iter().flat_map(Groups::weights) {
+                    s.observe(hash, values);
+                }
+            }
+        }
+        merged.merge(s.finish());
+    }
+    let plan = PartitionPlan::build(&merged, nshards, partition.split_factor_x1000());
+    debug_assert_eq!(plan.estimates().iter().sum::<u64>(), merged.total());
+    Some(plan)
+}
+
+/// Step 2: hand a job's worker accumulators over to its `nbins` reduce bins
+/// (`plan`'s bin count, or the shard count without one). Returns each bin's
+/// reduce input and the reduce-input records routed into it.
+///
+/// Fold and token maps are flushed: one route and one fold-merge per
+/// distinct key per worker. A non-fold job's tables were routed at emit, so
+/// each moves to its bin whole; only under a weighted plan does a worker's
+/// table give up entries — those of the plan's explicitly placed heavy
+/// keys, found by their stored hash. Every other key's plan bin *is* its
+/// emit-time shard.
+///
+/// Runs the job's `combine_fold`, `token_key` and `Hash`, which may panic.
+pub(crate) fn split_into_bins<J: MapReduceJob>(
+    job: &J,
+    partials: Vec<JobAcc<J>>,
+    plan: Option<&PartitionPlan>,
+    nbins: usize,
+) -> (Vec<ShardInput<J>>, Vec<u64>) {
+    let mut bin_records = vec![0u64; nbins];
+    // A job's partials are all of one kind, the one `JobAcc::for_job` picks
+    // from the same flag.
+    let bins = if job.combine_is_fold() {
+        // The weighted plan routes heavy keys explicitly; the hash path
+        // uses the bias-free reduction over the base shard count.
+        let route = |k: &J::K| match plan {
+            Some(p) => p.bin_of_hash(key_hash(k)),
+            None => shard_of_hash(key_hash(k), nbins),
+        };
+        let mut folded: Vec<FxHashMap<J::K, J::V>> = (0..nbins).map(|_| FxHashMap::default()).collect();
+        // Fold-merges the values of keys seen by several workers.
+        let mut flush = |k: J::K, v: J::V| {
+            let b = route(&k);
+            bin_records[b] += 1;
+            fold_into(job, &mut folded[b], k, v);
+        };
+        for acc in partials {
+            match acc {
+                JobAcc::Fold(map) => map.into_iter().for_each(|(k, v)| flush(k, v)),
+                // The one place the fast path builds real keys: once per
+                // distinct token per worker accumulator.
+                JobAcc::Tok(map) => map.drain_into(|tok, v| flush(job.token_key(tok), v)),
+                JobAcc::Grouped(_) => {}
+            }
+        }
+        folded.into_iter().map(ShardInput::Folded).collect()
+    } else {
+        let mut bins: Vec<Vec<ShardGroups<J>>> = (0..nbins).map(|_| Vec::new()).collect();
+        for acc in partials {
+            let JobAcc::Grouped(mut worker) = acc else { continue };
+            if let Some(plan) = plan {
+                reroute(&mut worker, nbins, |hash| plan.bin_of_hash(hash));
+            }
+            // Worker by worker, so a bin's tables stay in worker order.
+            for ((bin, n), table) in bins.iter_mut().zip(&mut bin_records).zip(worker) {
+                *n += table.records();
+                bin.push(table);
+            }
+        }
+        bins.into_iter().map(ShardInput::Grouped).collect()
+    };
+    (bins, bin_records)
+}
+
+/// Step 3, once per bin and in parallel across bins: combine and reduce one
+/// bin's input into its part, sorted by key.
+///
+/// Runs the job's `combine` and `reduce`, which may panic.
+pub(crate) fn reduce_bin<J: MapReduceJob>(job: &J, input: ShardInput<J>) -> ReducedPart<J> {
+    let mut part = Vec::new();
+    match input {
+        ShardInput::Folded(map) => reduce_folded(job, map, &mut part),
+        ShardInput::Grouped(tables) => sort_group_reduce(job, tables, &mut part),
+    }
+    part
+}
+
+/// Step 4: build the output relation from the bins' parts. Each part is
+/// sorted and the parts hold disjoint key sets (split by key hash), so the
+/// concatenation is a duplicate-free sequence of sorted runs: `from_iter`'s
+/// stable sort merges them, then bulk-builds. `stats` arrives with its
+/// scan-side fields filled; the output count is set here.
+pub(crate) fn assemble<J: MapReduceJob>(
+    parts: Vec<ReducedPart<J>>,
+    mut stats: ScanStats,
+) -> JobOutput<J::K, J::Out> {
+    let records = BTreeMap::from_iter(concat(parts));
+    stats.reduce_output_records = records.len() as u64;
+    JobOutput { records, stats }
+}
 
 /// Fold one emitted pair into a fold job's one-value-per-key accumulator.
-pub(crate) fn fold_into<J: MapReduceJob>(job: &J, acc: &mut FxHashMap<J::K, J::V>, k: J::K, v: J::V) {
+fn fold_into<J: MapReduceJob>(job: &J, acc: &mut FxHashMap<J::K, J::V>, k: J::K, v: J::V) {
     match acc.entry(k) {
         Entry::Occupied(mut e) => job.combine_fold(e.get_mut(), v),
         Entry::Vacant(e) => {
@@ -38,7 +274,7 @@ pub(crate) fn fold_into<J: MapReduceJob>(job: &J, acc: &mut FxHashMap<J::K, J::V
 }
 
 /// Concatenate owned parts into one exactly-sized vector, moving elements.
-pub(crate) fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
     let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
     for mut part in parts {
         all.append(&mut part);
@@ -145,18 +381,6 @@ impl<K: Eq, V> Groups<K, V> {
         });
     }
 
-    /// Group a flat run of records, in run order.
-    pub(crate) fn from_run(run: Vec<(K, V)>) -> Self
-    where
-        K: Hash,
-    {
-        let mut groups = Groups::new();
-        for (k, v) in run {
-            groups.push(key_hash(&k), k, v);
-        }
-        groups
-    }
-
     /// Records held.
     pub(crate) fn records(&self) -> u64 {
         self.records
@@ -222,7 +446,7 @@ impl<K: Eq, V> Groups<K, V> {
 /// `bin_of(hash)` is not the table it sits in — under a weighted plan, only
 /// the explicitly placed heavy keys — moves, with its values, to the table
 /// of its bin. `tables` grows to `nbins`.
-pub(crate) fn reroute<K: Eq, V>(tables: &mut Vec<Groups<K, V>>, nbins: usize, bin_of: impl Fn(u64) -> usize) {
+fn reroute<K: Eq, V>(tables: &mut Vec<Groups<K, V>>, nbins: usize, bin_of: impl Fn(u64) -> usize) {
     let homes = tables.len();
     tables.resize_with(nbins.max(homes), Groups::new);
     for home in 0..homes {
@@ -240,7 +464,7 @@ pub(crate) fn reroute<K: Eq, V>(tables: &mut Vec<Groups<K, V>>, nbins: usize, bi
 /// [`combine`](MapReduceJob::combine) and the result to
 /// [`reduce`](MapReduceJob::reduce), and appends the surviving pairs to
 /// `out` in key order. Keys are compared, never hashed.
-pub(crate) fn sort_group_reduce<J: MapReduceJob>(
+fn sort_group_reduce<J: MapReduceJob>(
     job: &J,
     tables: impl IntoIterator<Item = Groups<J::K, J::V>>,
     out: &mut Vec<(J::K, J::Out)>,
@@ -266,7 +490,7 @@ pub(crate) fn sort_group_reduce<J: MapReduceJob>(
 
 /// Reduce a fold job's shard — one already-folded value per distinct key,
 /// in any order — and append the surviving pairs to `out` in key order.
-pub(crate) fn reduce_folded<J: MapReduceJob>(
+fn reduce_folded<J: MapReduceJob>(
     job: &J,
     folded: impl IntoIterator<Item = (J::K, J::V)>,
     out: &mut Vec<(J::K, J::Out)>,
@@ -303,14 +527,20 @@ mod tests {
         }
     }
 
-    fn run(records: &[(&str, u32)]) -> Vec<(String, u32)> {
-        records.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    /// One worker's table of `records`, pushed in order.
+    fn table(records: &[(&str, u32)]) -> Groups<String, u32> {
+        let mut table = Groups::new();
+        for &(k, v) in records {
+            let key = k.to_string();
+            table.push(key_hash(&key), key, v);
+        }
+        table
     }
 
     #[test]
     fn groups_keep_table_then_arrival_order_and_come_out_sorted() {
-        let worker0 = Groups::from_run(run(&[("b", 1), ("a", 2), ("x", 3), ("b", 4)]));
-        let worker1 = Groups::from_run(run(&[("a", 5), ("b", 6), ("c", 7)]));
+        let worker0 = table(&[("b", 1), ("a", 2), ("x", 3), ("b", 4)]);
+        let worker1 = table(&[("a", 5), ("b", 6), ("c", 7)]);
         assert_eq!((worker0.records(), worker1.records()), (4, 3));
         let mut out = vec![("0".to_string(), vec![0])];
         sort_group_reduce(&Ends, [worker0, worker1], &mut out);
@@ -330,8 +560,8 @@ mod tests {
 
     #[test]
     fn append_puts_later_values_behind_and_counts_them() {
-        let mut persistent = Groups::from_run(run(&[("a", 1), ("b", 2), ("a", 3)]));
-        persistent.append(Groups::from_run(run(&[("b", 4), ("c", 5), ("b", 6)])));
+        let mut persistent = table(&[("a", 1), ("b", 2), ("a", 3)]);
+        persistent.append(table(&[("b", 4), ("c", 5), ("b", 6)]));
         persistent.append(Groups::new());
         assert_eq!(persistent.records(), 6);
         let mut weights: Vec<u64> = persistent.weights().map(|(_, n)| n).collect();
@@ -406,9 +636,8 @@ mod tests {
 
     #[test]
     fn reroute_moves_whole_groups_and_their_counts() {
-        let records = run(&[("a", 1), ("b", 2), ("a", 3), ("c", 4)]);
-        let heavy = key_hash(&"a".to_string());
-        let mut tables = vec![Groups::from_run(records), Groups::new()];
+                let heavy = key_hash(&"a".to_string());
+        let mut tables = vec![table(&[("a", 1), ("b", 2), ("a", 3), ("c", 4)]), Groups::new()];
         reroute(&mut tables, 3, |h| if h == heavy { 2 } else { 0 });
         let counts: Vec<u64> = tables.iter().map(Groups::records).collect();
         assert_eq!(counts, vec![2, 0, 2]);

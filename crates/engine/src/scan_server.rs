@@ -72,20 +72,19 @@
 //! server.shutdown();
 //! ```
 
-use crate::arena::TokenMap;
-use crate::exec::{JobOutput, ScanPath, ScanStats};
-use crate::fanout::{RiderIndex, Selection, TokenSink};
+use crate::exec::ScanStats;
+use crate::fanout::{scan_block_for_job, RiderIndex, Selection};
 use crate::fault::{ArmedFaults, FaultPlan, FtConfig};
-use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
+use crate::partition::PartitionPlan;
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
-use crate::reduce::{concat, fold_into, reduce_folded, reroute, sort_group_reduce, Groups};
+use crate::reduce::{
+    assemble, plan_bins, reduce_bin, split_into_bins, JobAcc, JobPartial, ReducedPart, ShardInput,
+};
 use crate::store::BlockStore;
 use crate::types::{JobError, JobResult, MapReduceJob, PartitionMode};
-use fxhash::FxHashMap;
 use parking_lot::{Condvar, Mutex};
 use s3_obs::trace::Ids;
 use s3_obs::{Counter, Gauge, Histogram, Obs, TraceRecorder};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -94,8 +93,8 @@ use std::time::{Duration, Instant};
 
 /// The server's pre-resolved instruments (all under `engine.*`; see the
 /// README "Observability" section for the full catalog). Present only on
-/// servers built with [`SharedScanServer::new_observed`], so the
-/// unobserved hot path pays one `Option` check per instrumentation site.
+/// servers whose [`ServerConfig::obs`] is on, so the unobserved hot path
+/// pays one `Option` check per instrumentation site.
 struct ServerObs {
     obs: Obs,
     jobs_submitted: Arc<Counter>,
@@ -200,147 +199,6 @@ impl ServerObs {
     fn tracer(&self) -> &TraceRecorder {
         &self.obs.core().expect("ServerObs only exists when on").tracer
     }
-}
-
-/// Map-side accumulator for one job on one worker. Fold jobs stream into
-/// one value per key; token-identity fold jobs
-/// ([`MapReduceJob::map_emits_token`]) fold under the raw token bytes in a
-/// [`TokenMap`] arena, and no key is materialized until the finish-time
-/// flush calls `token_key` once per distinct token. A job without a fold
-/// combiner keeps every value, so its accumulator is already the
-/// reduce-side layout: one [`Groups`] table per reduce shard, routed at
-/// emit by the key's hash, which the table keeps (see DESIGN.md, "The
-/// reduce path").
-enum JobAcc<J: MapReduceJob> {
-    Fold(FxHashMap<J::K, J::V>),
-    Grouped(Vec<ShardGroups<J>>),
-    Tok(TokenMap<J::V>),
-}
-
-/// A non-fold job's records of one reduce shard, grouped by key.
-type ShardGroups<J> = Groups<<J as MapReduceJob>::K, <J as MapReduceJob>::V>;
-
-impl<J: MapReduceJob> JobAcc<J> {
-    /// The accumulator kind is a pure function of the job's declared flags
-    /// and the server's scan path and reduce width, so every worker (and
-    /// the resilient path's block-local accumulators) picks the same
-    /// variant, with the same shard count, for a job.
-    fn for_job(job: &J, scan_path: ScanPath, nshards: usize) -> Self {
-        if job.combine_is_fold() {
-            if scan_path == ScanPath::Kernel && job.map_emits_token() {
-                JobAcc::Tok(TokenMap::new())
-            } else {
-                JobAcc::Fold(FxHashMap::default())
-            }
-        } else {
-            JobAcc::Grouped((0..nshards).map(|_| Groups::new()).collect())
-        }
-    }
-
-    fn push(&mut self, job: &J, k: J::K, v: J::V) {
-        match self {
-            JobAcc::Fold(map) => fold_into(job, map, k, v),
-            JobAcc::Grouped(shards) => {
-                let hash = key_hash(&k);
-                let shard = shard_of_hash(hash, shards.len());
-                shards[shard].push(hash, k, v);
-            }
-            JobAcc::Tok(_) => unreachable!("token-identity jobs fold inside the fan-out kernel"),
-        }
-    }
-
-    /// Merge a committed block-local accumulator into this (persistent)
-    /// one — the resilient scan path's idempotent-commit step.
-    fn merge(&mut self, job: &J, other: JobAcc<J>) {
-        match (self, other) {
-            (JobAcc::Fold(m), JobAcc::Fold(o)) => {
-                for (k, v) in o {
-                    fold_into(job, m, k, v);
-                }
-            }
-            (JobAcc::Grouped(m), JobAcc::Grouped(o)) => {
-                for (shard, block_shard) in m.iter_mut().zip(o) {
-                    shard.append(block_shard);
-                }
-            }
-            (JobAcc::Tok(m), JobAcc::Tok(o)) => {
-                m.merge_from(o, |acc, next| job.combine_fold(acc, next));
-            }
-            _ => unreachable!("accumulator kinds are fixed per job"),
-        }
-    }
-}
-
-/// Run one job's map over one block into its accumulator.
-///
-/// Kernel path: per-token jobs map the tokens the segment's fan-out index
-/// (`fan`, in which this job is rider `rider`) selected for them out of the
-/// block — the caller runs [`RiderIndex::select`] once per block, for all
-/// jobs; token-identity jobs fold straight into the arena accumulator. Line
-/// jobs walk the block through the SWAR line iterator.
-///
-/// Legacy path (the byte-equality oracle): lossy `&str` conversion, then
-/// `str::lines` / `split_whitespace` into the `&str` entry points, exactly
-/// as before the kernel existed.
-///
-/// User map code may panic; callers wrap this in their per-(job, block)
-/// `catch_unwind`.
-#[allow(clippy::too_many_arguments)]
-fn scan_block_for_job<J: MapReduceJob>(
-    job: &J,
-    scan_path: ScanPath,
-    block: &[u8],
-    fan: &RiderIndex,
-    sel: &Selection,
-    rider: usize,
-    emitted: &mut u64,
-    acc: &mut JobAcc<J>,
-) {
-    match scan_path {
-        ScanPath::Kernel => {
-            if job.map_is_per_token() {
-                let sink = match acc {
-                    JobAcc::Tok(map) => TokenSink::Arena { map, emitted },
-                    _ => TokenSink::Emit(&mut |k, v| {
-                        *emitted += 1;
-                        acc.push(job, k, v);
-                    }),
-                };
-                fan.map_rider(sel, rider, job, block, sink);
-            } else {
-                for line in memchr::lines(block) {
-                    job.map_bytes(line, &mut |k, v| {
-                        *emitted += 1;
-                        acc.push(job, k, v);
-                    });
-                }
-            }
-        }
-        ScanPath::Legacy => {
-            let text = String::from_utf8_lossy(block);
-            if job.map_is_per_token() {
-                for tk in text.split_whitespace() {
-                    job.map_token(tk, &mut |k, v| {
-                        *emitted += 1;
-                        acc.push(job, k, v);
-                    });
-                }
-            } else {
-                for line in text.lines() {
-                    job.map(line, &mut |k, v| {
-                        *emitted += 1;
-                        acc.push(job, k, v);
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// One worker's accumulated state for one job over the revolution so far.
-struct JobPartial<J: MapReduceJob> {
-    emitted: u64,
-    acc: JobAcc<J>,
 }
 
 /// Per-worker slot: the partials of every job this worker has scanned for.
@@ -668,9 +526,6 @@ pub struct ServerConfig {
     pub faults: Option<FaultPlan>,
     /// Adaptive segment sizing (off by default).
     pub adaptive: AdaptiveConfig,
-    /// Which scan implementation walks the blocks:
-    /// [`ScanPath::Kernel`] (default) or the legacy `&str` oracle path.
-    pub scan_path: ScanPath,
     /// Bind address (`"127.0.0.1:9184"`, port 0 for OS-assigned) for a
     /// Prometheus text-format metrics endpoint served for this server's
     /// lifetime. Ignored unless [`obs`](ServerConfig::obs) is on; see
@@ -684,8 +539,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// The default configuration: unobserved, quarantine only (no
-    /// speculation), no injected faults, fixed segment boundaries, kernel
-    /// scan path.
+    /// speculation), no injected faults, fixed segment boundaries.
     pub fn new(blocks_per_segment: usize, num_threads: usize) -> Self {
         ServerConfig {
             blocks_per_segment,
@@ -694,7 +548,6 @@ impl ServerConfig {
             ft: FtConfig::default(),
             faults: None,
             adaptive: AdaptiveConfig::default(),
-            scan_path: ScanPath::Kernel,
             metrics_addr: None,
             partition: PartitionMode::Hash,
         }
@@ -744,8 +597,6 @@ struct ServerShared<J: MapReduceJob> {
     ft: FtConfig,
     /// Injected faults, armed for this server's lifetime.
     faults: Option<Arc<ArmedFaults>>,
-    /// Which scan implementation walks the blocks (kernel or legacy).
-    scan_path: ScanPath,
     /// How finalization routes keys to reduce shards.
     partition: PartitionMode,
     /// Reduce shards per job: the reduce pool's width, which matches the
@@ -757,7 +608,7 @@ struct ServerShared<J: MapReduceJob> {
     /// Consecutive deadline misses per virtual worker; reset by an
     /// in-deadline commit, drives exclusion.
     misses: Vec<AtomicU32>,
-    /// Telemetry, when built via [`SharedScanServer::new_observed`].
+    /// Telemetry, when [`ServerConfig::obs`] is on.
     obs: Option<Arc<ServerObs>>,
 }
 
@@ -786,28 +637,13 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
         SharedScanServer::with_config(store, ServerConfig::new(blocks_per_segment, num_threads))
     }
 
-    /// Start an **observed** server: every submit/admission/segment
-    /// scan/reduce shard/completion records into `obs`'s metrics registry
-    /// and trace recorder (see the README "Observability" section for the
-    /// instrument and span catalog). Passing [`Obs::off`] is exactly
-    /// [`SharedScanServer::new`].
-    ///
-    /// # Panics
-    /// Panics if `blocks_per_segment` or `num_threads` is zero.
-    pub fn new_observed(
-        store: BlockStore,
-        blocks_per_segment: usize,
-        num_threads: usize,
-        obs: &Obs,
-    ) -> Self {
-        let mut cfg = ServerConfig::new(blocks_per_segment, num_threads);
-        cfg.obs = obs.clone();
-        SharedScanServer::with_config(store, cfg)
-    }
-
     /// Start a server from a full [`ServerConfig`] — the entry point for
-    /// speculative execution ([`FtConfig::resilient`]) and deterministic
-    /// fault injection ([`FaultPlan`]).
+    /// telemetry ([`ServerConfig::obs`]: every submit/admission/segment
+    /// scan/reduce shard/completion records into the handle's metrics
+    /// registry and trace recorder; see the README "Observability" section
+    /// for the instrument and span catalog), speculative execution
+    /// ([`FtConfig::resilient`]) and deterministic fault injection
+    /// ([`FaultPlan`]).
     ///
     /// # Panics
     /// Panics if `blocks_per_segment` or `num_threads` is zero.
@@ -858,7 +694,6 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
             blocks_assisted: AtomicU64::new(0),
             ft: config.ft,
             faults: config.faults.as_ref().map(|p| p.arm()),
-            scan_path: config.scan_path,
             partition: config.partition,
             nshards: num_threads,
             ewma_block_us: AtomicU64::new(0),
@@ -1505,7 +1340,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
     // fast path takes zero claim coordination.
     let solo = fan_out == 1;
     let progress = WorkProgress::new(nblocks);
-    let fan = RiderIndex::over(active.iter().map(|a| &*a.job), shared.scan_path);
+    let fan = RiderIndex::over(active.iter().map(|a| &*a.job));
 
     pool.broadcast(fan_out, &|wi| {
         let mut claims = if solo {
@@ -1522,13 +1357,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                 if let Some(p) = slot.iter().position(|(id, _)| *id == a.id) {
                     p
                 } else {
-                    slot.push((
-                        a.id,
-                        JobPartial {
-                            emitted: 0,
-                            acc: JobAcc::for_job(&*a.job, shared.scan_path, shared.nshards),
-                        },
-                    ));
+                    slot.push((a.id, JobPartial::new(&*a.job, shared.nshards)));
                     slot.len() - 1
                 }
             })
@@ -1554,7 +1383,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                     continue;
                 }
                 let job = &*a.job;
-                let JobPartial { emitted, acc } = &mut slot[idxs[pos]].1;
+                let partial = &mut slot[idxs[pos]].1;
                 // Quarantine granularity: one (job, block) unit. A panic
                 // may leave this job's partial half-updated for the block;
                 // that is fine — a failed job's state is purged, never
@@ -1565,7 +1394,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                             panic!("injected map panic (job {})", a.id);
                         }
                     }
-                    scan_block_for_job(job, shared.scan_path, block, &fan, &sel, pos, emitted, acc);
+                    scan_block_for_job(job, block, &fan, &sel, pos, partial);
                 }));
                 if let Err(p) = result {
                     a.failure.record(p);
@@ -1775,7 +1604,7 @@ fn scan_segment_resilient<J: MapReduceJob + 'static>(
                 limit,
             })
             .collect(),
-        fan: RiderIndex::over(active.iter().map(|a| &*a.job), shared.scan_path),
+        fan: RiderIndex::over(active.iter().map(|a| &*a.job)),
         progress: WorkProgress::new(nblocks),
         tasks: (0..nblocks)
             .map(|_| BlockTask {
@@ -2004,25 +1833,10 @@ fn process_block<J: MapReduceJob + 'static>(
             continue;
         }
         let job = &*sj.job;
-        let mut partial = JobPartial {
-            emitted: 0,
-            acc: JobAcc::for_job(job, run.shared.scan_path, run.shared.nshards),
-        };
-        let result = {
-            let partial = &mut partial;
-            catch_unwind(AssertUnwindSafe(|| {
-                scan_block_for_job(
-                    job,
-                    run.shared.scan_path,
-                    block,
-                    &run.fan,
-                    sel,
-                    pos,
-                    &mut partial.emitted,
-                    &mut partial.acc,
-                );
-            }))
-        };
+        let mut partial = JobPartial::new(job, run.shared.nshards);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            scan_block_for_job(job, block, &run.fan, sel, pos, &mut partial);
+        }));
         match result {
             Ok(()) => out.push(Some(partial)),
             Err(p) => {
@@ -2050,13 +1864,7 @@ fn merge_locals<J: MapReduceJob + 'static>(
         let p = match slot.iter().position(|(id, _)| *id == sj.id) {
             Some(p) => p,
             None => {
-                slot.push((
-                    sj.id,
-                    JobPartial {
-                        emitted: 0,
-                        acc: JobAcc::for_job(&*sj.job, run.shared.scan_path, run.shared.nshards),
-                    },
-                ));
+                slot.push((sj.id, JobPartial::new(&*sj.job, run.shared.nshards)));
                 slot.len() - 1
             }
         };
@@ -2084,17 +1892,6 @@ struct FinishCtx<J: MapReduceJob> {
     remaining: AtomicUsize,
     stats: ScanStats,
     obs: Option<Arc<ServerObs>>,
-}
-
-/// One shard's reduced output: (key, output) pairs sorted by key.
-type ReducedPart<J> = Vec<(<J as MapReduceJob>::K, <J as MapReduceJob>::Out)>;
-
-/// One bin's reduce input.
-enum ShardInput<J: MapReduceJob> {
-    /// Fold job: one value per key, the workers' maps merged by the flush.
-    Folded(FxHashMap<J::K, J::V>),
-    /// Non-fold job: the tables routed to this bin, in worker order.
-    Grouped(Vec<ShardGroups<J>>),
 }
 
 struct FinishState<J: MapReduceJob> {
@@ -2158,48 +1955,16 @@ fn finish_job<J: MapReduceJob + 'static>(
 
     let nshards = shared.nshards;
 
-    // Weighted mode: sketch each worker accumulator's combiner-output key
-    // distribution (weight = reduce-input records it will contribute),
-    // merge the per-worker sketches, and build the routing plan. The plan's
-    // estimates sum exactly to the records the split will route, which is
-    // the `partition_plan`/`reduce_shard` trace invariant.
-    let build_plan = || {
-        let mut merged = KeySketch::new().finish();
-        for acc in &partials {
-            let mut s = KeySketch::new();
-            match acc {
-                JobAcc::Fold(m) => {
-                    for k in m.keys() {
-                        s.observe(key_hash(k), 1);
-                    }
-                }
-                // Hash the *materialized* key — `token_key` may collapse
-                // distinct tokens — so the sketch agrees with the split.
-                JobAcc::Tok(m) => m.for_each(|tok, _| {
-                    s.observe(key_hash(&job.job.token_key(tok)), 1);
-                }),
-                JobAcc::Grouped(shards) => {
-                    for (hash, values) in shards.iter().flat_map(Groups::weights) {
-                        s.observe(hash, values);
-                    }
-                }
-            }
-            merged.merge(s.finish());
-        }
-        let p = PartitionPlan::build(&merged, nshards, shared.partition.split_factor_x1000());
-        debug_assert_eq!(p.estimates().iter().sum::<u64>(), merged.total());
-        p
-    };
-    // Sketching runs the job's `token_key` and `Hash`, here on the
+    // Planning runs the job's `token_key` and `Hash`, here on the
     // coordinator: a panic in either fails this job, not the server. The
     // shards still run, unplanned, and the last one publishes the failure.
-    let plan = if shared.partition.is_weighted() {
-        catch_unwind(AssertUnwindSafe(build_plan))
-            .map_err(|p| job.failure.record(p))
-            .ok()
-    } else {
+    let plan = catch_unwind(AssertUnwindSafe(|| {
+        plan_bins(&*job.job, &partials, nshards, shared.partition)
+    }))
+    .unwrap_or_else(|p| {
+        job.failure.record(p);
         None
-    };
+    });
     if let (Some(o), Some(p)) = (&obs, &plan) {
         // One instant per bin: shard index in its id field, estimated
         // weight in `n`. check_engine_events sums these against the
@@ -2231,7 +1996,7 @@ fn finish_job<J: MapReduceJob + 'static>(
             blocks_scanned: job.blocks_seen,
             bytes_scanned: job.bytes_seen,
             map_output_records,
-            reduce_output_records: 0, // filled at publish
+            reduce_output_records: 0, // filled by `assemble`
         },
         obs,
     });
@@ -2250,60 +2015,15 @@ fn finish_job<J: MapReduceJob + 'static>(
 /// it, so the caller can attribute the cost to its own `shard_split` span
 /// rather than polluting that shard's `reduce_shard` measurement.
 ///
-/// Fold and token maps are flushed: one route and one fold-merge per
-/// distinct key per worker. A non-fold job's tables were routed at emit, so
-/// each moves to its bin whole; only under a weighted plan does a worker's
-/// table give up entries — those of the plan's explicitly placed heavy
-/// keys, found by their stored hash. Every other key's plan bin *is* its
-/// emit-time shard.
+/// The hand-over itself is [`split_into_bins`]; this wrapper makes it
+/// happen once, under the finish state's lock.
 fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nbins: usize) -> bool {
     let mut st = ctx.state.lock();
     if st.sharded {
         return false;
     }
     let partials = std::mem::take(&mut st.partials);
-    let mut bin_records = vec![0u64; nbins];
-    // A job's partials are all of one kind, the one `JobAcc::for_job` picks
-    // from the same flag.
-    let buckets: Vec<ShardInput<J>> = if ctx.job.combine_is_fold() {
-        // The weighted plan routes heavy keys explicitly; the hash path
-        // uses the bias-free reduction over the base shard count.
-        let route = |k: &J::K| match &ctx.plan {
-            Some(p) => p.bin_of_hash(key_hash(k)),
-            None => shard_of_hash(key_hash(k), nbins),
-        };
-        let mut folded: Vec<FxHashMap<J::K, J::V>> = (0..nbins).map(|_| FxHashMap::default()).collect();
-        // Fold-merges the values of keys seen by several workers.
-        let mut flush = |k: J::K, v: J::V| {
-            let b = route(&k);
-            bin_records[b] += 1;
-            fold_into(&*ctx.job, &mut folded[b], k, v);
-        };
-        for acc in partials {
-            match acc {
-                JobAcc::Fold(map) => map.into_iter().for_each(|(k, v)| flush(k, v)),
-                // The one place the fast path builds real keys: once per
-                // distinct token per worker accumulator.
-                JobAcc::Tok(map) => map.drain_into(|tok, v| flush(ctx.job.token_key(tok), v)),
-                JobAcc::Grouped(_) => {}
-            }
-        }
-        folded.into_iter().map(ShardInput::Folded).collect()
-    } else {
-        let mut bins: Vec<Vec<ShardGroups<J>>> = (0..nbins).map(|_| Vec::new()).collect();
-        for acc in partials {
-            let JobAcc::Grouped(mut worker) = acc else { continue };
-            if let Some(plan) = &ctx.plan {
-                reroute(&mut worker, nbins, |hash| plan.bin_of_hash(hash));
-            }
-            // Worker by worker, so a bin's tables stay in worker order.
-            for ((bin, n), table) in bins.iter_mut().zip(&mut bin_records).zip(worker) {
-                *n += table.records();
-                bin.push(table);
-            }
-        }
-        bins.into_iter().map(ShardInput::Grouped).collect()
-    };
+    let (buckets, bin_records) = split_into_bins(&*ctx.job, partials, ctx.plan.as_ref(), nbins);
     st.buckets = buckets.into_iter().map(Some).collect();
     st.bin_records = bin_records;
     st.sharded = true;
@@ -2329,13 +2049,7 @@ fn finish_shard_inner<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, s: usize) -
     // panicked, the bins were never filled — this shard then reduces
     // nothing and the recorded failure quarantines the job at publish time.
     let input = ctx.state.lock().buckets.get_mut(s).and_then(Option::take);
-    let mut part = Vec::new();
-    match input {
-        Some(ShardInput::Folded(map)) => reduce_folded(&*ctx.job, map, &mut part),
-        Some(ShardInput::Grouped(tables)) => sort_group_reduce(&*ctx.job, tables, &mut part),
-        None => {}
-    }
-    part
+    input.map_or_else(Vec::new, |input| reduce_bin(&*ctx.job, input))
 }
 
 fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize, nbins: usize) {
@@ -2398,16 +2112,7 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
         // The serial tail of the reduce: concatenate, build, wake.
         let publish_t0 = ctx.obs.as_ref().map(|o| o.tracer().now_us());
         let parts = std::mem::take(&mut ctx.state.lock().parts);
-        // Each part is sorted and the parts hold disjoint key sets (split
-        // by key hash), so the concatenation is a duplicate-free sequence
-        // of sorted runs: `from_iter`'s stable sort merges them, then
-        // bulk-builds.
-        let records = BTreeMap::from_iter(concat(parts));
-        let mut stats = ctx.stats;
-        stats.reduce_output_records = records.len() as u64;
-        let blocks_scanned = stats.blocks_scanned;
-        let output = JobOutput { records, stats };
-        ctx.completion.publish(Ok(output));
+        ctx.completion.publish(Ok(assemble::<J>(parts, ctx.stats)));
         if let (Some(o), Some(t0)) = (&ctx.obs, publish_t0) {
             o.tracer().span("publish", t0, Ids::job(ctx.job_id));
             o.publish.record(o.tracer().now_us().saturating_sub(t0));
@@ -2418,7 +2123,7 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
             // journal can prove its segment slices add up (flight-recorder
             // coverage invariant).
             o.tracer()
-                .instant("job_done", Ids::job(ctx.job_id).jobs(blocks_scanned));
+                .instant("job_done", Ids::job(ctx.job_id).jobs(ctx.stats.blocks_scanned));
         }
     }
 }
@@ -2426,7 +2131,7 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_job, ExecConfig};
+    use crate::exec::run_job_legacy;
     use crate::fault::EngineFault;
     use crate::types::test_jobs::PrefixCount;
 
@@ -2438,12 +2143,12 @@ mod tests {
     }
 
     #[test]
-    fn single_job_matches_run_job() {
+    fn single_job_matches_the_reference() {
         let s = store();
         let server = SharedScanServer::new(s.clone(), 2, 3);
         let h = server.submit(PrefixCount { prefix: "".into() });
         let out = h.wait().expect("job completed");
-        let solo = run_job(&PrefixCount { prefix: "".into() }, &s, &ExecConfig::default());
+        let solo = run_job_legacy(&PrefixCount { prefix: "".into() }, &s);
         assert_eq!(out.records, solo.records);
         assert_eq!(out.stats.map_output_records, solo.stats.map_output_records);
         server.shutdown();
@@ -2461,11 +2166,7 @@ mod tests {
             .collect();
         for (p, h) in ["a", "b", "g", "d", ""].iter().zip(handles) {
             let out = h.wait().expect("job completed");
-            let solo = run_job(
-                &PrefixCount { prefix: p.to_string() },
-                &s,
-                &ExecConfig::default(),
-            );
+            let solo = run_job_legacy(&PrefixCount { prefix: p.to_string() }, &s);
             assert_eq!(out.records, solo.records, "prefix {p:?}");
         }
         let scanned = server.blocks_scanned();
@@ -2490,7 +2191,7 @@ mod tests {
             result = h.wait_timeout(Duration::from_millis(50));
         }
         let out = result.unwrap().expect("job completed");
-        let solo = run_job(&PrefixCount { prefix: "al".into() }, &s, &ExecConfig::default());
+        let solo = run_job_legacy(&PrefixCount { prefix: "al".into() }, &s);
         assert_eq!(out.records, solo.records);
         // The slot was consumed by the successful wait.
         assert!(h.try_take().is_none());
@@ -2558,11 +2259,7 @@ mod tests {
         let second = server.submit(PrefixCount { prefix: "ga".into() });
         let out1 = first.wait().expect("job completed");
         let out2 = second.wait().expect("job completed");
-        let solo2 = run_job(
-            &PrefixCount { prefix: "ga".into() },
-            &s,
-            &ExecConfig::default(),
-        );
+        let solo2 = run_job_legacy(&PrefixCount { prefix: "ga".into() }, &s);
         // The wrapped job still sees every block exactly once.
         assert_eq!(out2.records, solo2.records);
         assert!(out1.records.len() >= out2.records.len());
@@ -2581,7 +2278,7 @@ mod tests {
                 let prefix = ["a", "b", "g"][i % 3].to_string();
                 let h = server.submit(PrefixCount { prefix: prefix.clone() });
                 let out = h.wait().expect("job completed");
-                let solo = run_job(&PrefixCount { prefix }, &s, &ExecConfig::default());
+                let solo = run_job_legacy(&PrefixCount { prefix }, &s);
                 assert_eq!(out.records, solo.records);
             }));
         }
@@ -2646,7 +2343,7 @@ mod tests {
     }
 
     #[test]
-    fn speculative_path_matches_run_job() {
+    fn speculative_path_matches_the_reference() {
         let s = store();
         let mut cfg = ServerConfig::new(2, 3);
         cfg.ft = FtConfig::resilient();
@@ -2659,11 +2356,7 @@ mod tests {
         ]);
         for (p, h) in ["a", "", "ga"].iter().zip(handles) {
             let out = h.wait().expect("job completed");
-            let solo = run_job(
-                &PrefixCount { prefix: p.to_string() },
-                &s,
-                &ExecConfig::default(),
-            );
+            let solo = run_job_legacy(&PrefixCount { prefix: p.to_string() }, &s);
             assert_eq!(out.records, solo.records, "prefix {p:?}");
             assert_eq!(out.stats.map_output_records, solo.stats.map_output_records);
         }
@@ -2694,11 +2387,7 @@ mod tests {
             Err(JobError::Panicked(msg)) => assert!(msg.contains("injected map panic")),
             other => panic!("expected quarantine, got {other:?}"),
         }
-        let solo = run_job(
-            &PrefixCount { prefix: "b".into() },
-            &s,
-            &ExecConfig::default(),
-        );
+        let solo = run_job_legacy(&PrefixCount { prefix: "b".into() }, &s);
         assert_eq!(survivor.records, solo.records);
         server.shutdown();
         let snap = obs.snapshot().unwrap();
@@ -2723,11 +2412,7 @@ mod tests {
         let mut it = handles.into_iter();
         let ok = it.next().unwrap().wait().expect("unfaulted job completes");
         let failed = it.next().unwrap().wait();
-        let solo = run_job(
-            &PrefixCount { prefix: "a".into() },
-            &s,
-            &ExecConfig::default(),
-        );
+        let solo = run_job_legacy(&PrefixCount { prefix: "a".into() }, &s);
         assert_eq!(ok.records, solo.records);
         match failed {
             Err(JobError::Panicked(msg)) => assert!(msg.contains("injected reduce panic")),
@@ -2798,7 +2483,7 @@ mod tests {
         let out = h.wait().expect("job completed");
         assert_eq!(out.stats.blocks_scanned, n as u64);
         assert_eq!(out.stats.bytes_scanned, s.total_bytes() as u64);
-        let solo = run_job(&PrefixCount { prefix: "".into() }, &s, &ExecConfig::default());
+        let solo = run_job_legacy(&PrefixCount { prefix: "".into() }, &s);
         assert_eq!(out.records, solo.records);
         server.shutdown();
     }
@@ -2820,7 +2505,7 @@ mod tests {
             max_blocks_per_segment: n + 10,
         };
         let server = SharedScanServer::with_config(s.clone(), cfg);
-        let solo = run_job(&PrefixCount { prefix: "".into() }, &s, &ExecConfig::default());
+        let solo = run_job_legacy(&PrefixCount { prefix: "".into() }, &s);
         for _ in 0..4 {
             let h = server.submit(PrefixCount { prefix: "".into() });
             let out = h.wait().expect("job completed");
@@ -2868,7 +2553,7 @@ mod tests {
             other => panic!("expected panic quarantine, got {other:?}"),
         }
         let survivor = it.next().unwrap().wait().expect("co-rider survives");
-        let solo = run_job(&Bomb { arm: false }, &s, &ExecConfig::default());
+        let solo = run_job_legacy(&Bomb { arm: false }, &s);
         assert_eq!(survivor.records, solo.records);
         server.shutdown();
     }

@@ -757,7 +757,7 @@ fn dispatcher_loop<J: MapReduceJob + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_job, ExecConfig};
+    use crate::exec::run_job_legacy;
 
     /// A prefix counter whose map can be gated: while `gate` is false the
     /// first mapped line spins, pinning the job (and the width slot it
@@ -821,8 +821,8 @@ mod tests {
         let h2 = svc.submit(events, QosClass::High, GatedCount::free("evt")).unwrap();
         let out1 = h1.wait().expect("logs job completed");
         let out2 = h2.wait().expect("events job completed");
-        let solo1 = run_job(&GatedCount::free("log"), &corpus("log", 40), &ExecConfig::default());
-        let solo2 = run_job(&GatedCount::free("evt"), &corpus("evt", 20), &ExecConfig::default());
+        let solo1 = run_job_legacy(&GatedCount::free("log"), &corpus("log", 40));
+        let solo2 = run_job_legacy(&GatedCount::free("evt"), &corpus("evt", 20));
         assert_eq!(out1.records, solo1.records);
         assert_eq!(out2.records, solo2.records);
         assert_eq!(out1.records["log"], 80);

@@ -294,11 +294,11 @@ pub trait MapReduceJob: Send + Sync {
     /// run. Defaults to the identity (no combining).
     ///
     /// As in MapReduce, the engine decides where and how often it runs: per
-    /// block on the map side ([`crate::run_job`], [`crate::run_merged`]),
-    /// and once more per key on the reduce side of every executor, over the
-    /// concatenation of what the earlier applications returned — so a key's
-    /// values may pass through `combine` more than once. The output must not
-    /// depend on that: `reduce(k, combine(k, a ++ b))` has to equal
+    /// sorted spill on the map side of the external executors, and once per
+    /// key on the reduce side of every executor, over the concatenation of
+    /// what any earlier applications returned — so a key's values may pass
+    /// through `combine` more than once. The output must not depend on
+    /// that: `reduce(k, combine(k, a ++ b))` has to equal
     /// `reduce(k, combine(k, combine(k, a) ++ combine(k, b)))`.
     fn combine(&self, _key: &Self::K, values: Vec<Self::V>) -> Vec<Self::V> {
         values
@@ -381,8 +381,8 @@ pub trait MapReduceJob: Send + Sync {
     /// kernel also runs the job on every rejected token and panics
     /// (failing that job alone on a server) if one emits. Release builds do
     /// not pay for the check and **silently drop** those records. The
-    /// legacy oracle path ([`crate::ScanPath::Legacy`]) and the external
-    /// executors never consult the prefix.
+    /// reference ([`crate::run_job_legacy`]) and the external executors
+    /// never consult the prefix.
     fn token_prefix(&self) -> &[u8] {
         b""
     }

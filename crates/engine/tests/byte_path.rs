@@ -74,15 +74,10 @@ fn run_job_scans_invalid_utf8_byte_for_byte() {
 }
 
 #[test]
-fn legacy_path_degrades_lossily_but_does_not_panic() {
+fn the_reference_degrades_lossily_but_does_not_panic() {
     let s = invalid_utf8_store();
-    let cfg = ExecConfig {
-        num_threads: 2,
-        num_reducers: 2,
-    ..ExecConfig::default()
-    };
-    let out = run_job_legacy(&ByteTokenCount, &s, &cfg);
-    // The oracle path lossily converts, so invalid sequences become U+FFFD
+    let out = run_job_legacy(&ByteTokenCount, &s);
+    // The reference lossily converts, so invalid sequences become U+FFFD
     // — but valid tokens are identical to the byte path and nothing panics.
     assert_eq!(out.records[&b"alpha".to_vec()], 2);
     assert_eq!(out.records[&b"gamma".to_vec()], 1);

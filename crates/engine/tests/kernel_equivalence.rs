@@ -1,21 +1,22 @@
-//! Satellite (c): the zero-copy kernel scan path is **byte-identical** to
-//! the legacy String path — same records, same map-output counts — across
-//! thread counts 1..=16, both scan paths (plain engine and shared-scan
-//! server), adaptive segment sizing on and off, and corpora stressing the
+//! The zero-copy kernel scan is **byte-identical** to the sequential `&str`
+//! reference ([`run_job_legacy`]) — same records, same stats — across
+//! thread counts 1..=16, the batch front and the shared-scan server,
+//! adaptive segment sizing on and off, and corpora stressing the
 //! tokenizer's edge cases: empty lines, trailing newlines, CR-LF endings,
 //! tabs, and multi-space runs.
 //!
 //! The second half is the fan-out kernel's contract: riders that declare a
 //! [`MapReduceJob::token_prefix`] are indexed, and the indexed scan equals
-//! the unindexed legacy oracle for arbitrary bytes, block cuts, patterns
-//! and rider counts on every executor; a rider that lies about its prefix
-//! or panics on a token fails alone.
+//! the unindexed reference for arbitrary bytes, block cuts, patterns and
+//! rider counts on every executor; a rider that lies about its prefix or
+//! panics on a token fails alone on the server and re-raises on the batch
+//! caller.
 
 use proptest::prelude::*;
 use s3_engine::{
     run_job, run_job_external, run_job_legacy, run_merged, run_merged_external,
     run_merged_legacy, AdaptiveConfig, BlockStore, ExecConfig, ExternalConfig, FtConfig, JobError,
-    MapReduceJob, ScanPath, ServerConfig, SharedScanServer,
+    MapReduceJob, PartitionMode, ServerConfig, SharedScanServer,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -116,10 +117,10 @@ fn job_variants(prefix: &str) -> Vec<Wc> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Kernel `run_job` equals legacy `run_job` for every job variant,
-    /// blocking, and thread count in 1..=16.
+    /// `run_job` equals the reference for every job variant, blocking, and
+    /// thread count in 1..=16.
     #[test]
-    fn run_job_kernel_equals_legacy(
+    fn run_job_equals_the_reference(
         codes in prop::collection::vec(0u8..48, 2..160),
         block_bytes in 4usize..96,
         threads in prop::sample::select(vec![1usize, 2, 3, 4, 8, 16]),
@@ -129,19 +130,15 @@ proptest! {
         let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
         let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
         for job in job_variants(prefix) {
-            let kernel = run_job(&job, &store, &cfg);
-            let legacy = run_job_legacy(&job, &store, &cfg);
-            prop_assert_eq!(&kernel.records, &legacy.records,
+            prop_assert_eq!(run_job(&job, &store, &cfg), run_job_legacy(&job, &store),
                 "fold={} token={} identity={}", job.fold, job.token, job.identity);
-            prop_assert_eq!(kernel.stats.map_output_records, legacy.stats.map_output_records);
-            prop_assert_eq!(kernel.stats.bytes_scanned, legacy.stats.bytes_scanned);
         }
     }
 
-    /// Kernel `run_merged` equals legacy `run_merged` when one batch mixes
-    /// all four job variants over one shared scan.
+    /// `run_merged` equals the reference when one batch mixes all four job
+    /// variants over one shared scan.
     #[test]
-    fn run_merged_kernel_equals_legacy(
+    fn run_merged_equals_the_reference(
         codes in prop::collection::vec(0u8..48, 2..160),
         block_bytes in 4usize..96,
         threads in prop::sample::select(vec![1usize, 2, 4, 16]),
@@ -151,19 +148,17 @@ proptest! {
         let jobs = job_variants("a");
         let refs: Vec<&Wc> = jobs.iter().collect();
         let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
-        let kernel = run_merged(&refs, &store, &cfg);
-        let legacy = run_merged_legacy(&refs, &store, &cfg);
-        for ((k, l), job) in kernel.iter().zip(&legacy).zip(&jobs) {
-            prop_assert_eq!(&k.records, &l.records,
-                "fold={} token={} identity={}", job.fold, job.token, job.identity);
-            prop_assert_eq!(k.stats.map_output_records, l.stats.map_output_records);
+        let merged = run_merged(&refs, &store, &cfg);
+        let reference = run_merged_legacy(&refs, &store);
+        for ((m, r), job) in merged.iter().zip(&reference).zip(&jobs) {
+            prop_assert_eq!(m, r, "fold={} token={} identity={}", job.fold, job.token, job.identity);
         }
     }
 
-    /// The shared-scan server agrees with itself across scan paths and with
-    /// the plain engine, adaptive sizing on and off.
+    /// The shared-scan server equals the reference — and so every job
+    /// variant equals every other — adaptive sizing on and off.
     #[test]
-    fn server_kernel_equals_legacy(
+    fn server_equals_the_reference(
         codes in prop::collection::vec(0u8..48, 2..120),
         block_bytes in 4usize..64,
         threads in prop::sample::select(vec![1usize, 2, 4]),
@@ -171,37 +166,26 @@ proptest! {
     ) {
         let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
         let jobs = job_variants("a");
-        let reference = run_job(&jobs[0], &store,
-            &ExecConfig { num_threads: 1, num_reducers: 2 ,..ExecConfig::default()});
+        let refs: Vec<&Wc> = jobs.iter().collect();
+        let reference = run_merged_legacy(&refs, &store);
+        prop_assert!(reference.iter().all(|r| r.records == reference[0].records));
 
-        let mut outputs = Vec::new();
-        for scan_path in [ScanPath::Kernel, ScanPath::Legacy] {
-            let mut cfg = ServerConfig::new(2, threads);
-            cfg.scan_path = scan_path;
-            if adaptive {
-                cfg.adaptive = AdaptiveConfig {
-                    enabled: true,
-                    target_cadence: Duration::from_micros(500),
-                    min_blocks_per_segment: 1,
-                    max_blocks_per_segment: 8,
-                };
-            }
-            let server = SharedScanServer::with_config(store.clone(), cfg);
-            let handles = server.submit_all(jobs.clone());
-            let outs: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.wait().expect("job completes"))
-                .collect();
-            server.shutdown();
-            outputs.push(outs);
+        let mut cfg = ServerConfig::new(2, threads);
+        if adaptive {
+            cfg.adaptive = AdaptiveConfig {
+                enabled: true,
+                target_cadence: Duration::from_micros(500),
+                min_blocks_per_segment: 1,
+                max_blocks_per_segment: 8,
+            };
         }
-        let (kernel, legacy) = (&outputs[0], &outputs[1]);
-        for ((k, l), job) in kernel.iter().zip(legacy).zip(&jobs) {
-            prop_assert_eq!(&k.records, &l.records,
-                "fold={} token={} identity={}", job.fold, job.token, job.identity);
-            prop_assert_eq!(&k.records, &reference.records, "matches plain engine");
-            prop_assert_eq!(k.stats.map_output_records, l.stats.map_output_records);
+        let server = SharedScanServer::with_config(store.clone(), cfg);
+        let handles = server.submit_all(jobs.clone());
+        for ((h, r), job) in handles.into_iter().zip(&reference).zip(&jobs) {
+            let out = h.wait().expect("job completes");
+            prop_assert_eq!(&out, r, "fold={} token={} identity={}", job.fold, job.token, job.identity);
         }
+        server.shutdown();
     }
 }
 
@@ -217,13 +201,14 @@ enum Pattern {
 
 /// How a [`Pat`] rider rides: through the token arena, through
 /// `map_token_bytes` with a fold or a buffering combiner, or line by line
-/// (never entering the token kernel).
+/// (never entering the token kernel), again with either combiner.
 #[derive(Clone, Copy, Debug)]
 enum Shape {
     Identity,
     TokenFold,
     TokenBuf,
     Line,
+    LineBuf,
 }
 
 /// Pattern wordcount over raw token bytes.
@@ -275,7 +260,7 @@ impl MapReduceJob for Pat {
     }
 
     fn combine_is_fold(&self) -> bool {
-        !matches!(self.shape, Shape::TokenBuf)
+        !matches!(self.shape, Shape::TokenBuf | Shape::LineBuf)
     }
 
     fn combine_fold(&self, acc: &mut i64, next: i64) {
@@ -283,7 +268,7 @@ impl MapReduceJob for Pat {
     }
 
     fn map_is_per_token(&self) -> bool {
-        !matches!(self.shape, Shape::Line)
+        !matches!(self.shape, Shape::Line | Shape::LineBuf)
     }
 
     fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
@@ -313,8 +298,8 @@ impl MapReduceJob for Pat {
     }
 }
 
-/// Corpus bytes: a small ASCII alphabet (so legacy `&str` and kernel bytes
-/// see the same tokens) in which NUL and DEL are token bytes and every
+/// Corpus bytes: a small ASCII alphabet (so the `&str` reference and the
+/// kernel see the same tokens) in which NUL and DEL are token bytes and every
 /// kind of separator occurs.
 const ALPHABET: &[u8] = b"aaabbc\0\x7fx \n\t\r";
 
@@ -393,12 +378,12 @@ fn server_outputs(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The indexed kernel equals the unindexed legacy oracle — records and
+    /// The indexed kernel equals the unindexed reference — records and
     /// `emitted` — for arbitrary ASCII bytes, block cuts, patterns, rider
     /// shapes and 1 / 8 / 65+ riders, on `run_merged`, `run_job`, both
     /// server scan loops, and the external executors.
     #[test]
-    fn indexed_fan_out_equals_legacy(
+    fn indexed_fan_out_equals_the_reference(
         codes in prop::collection::vec(any::<u8>(), 1..400),
         cuts in prop::collection::vec(any::<u16>(), 0..6),
         block_bytes in 4usize..64,
@@ -412,7 +397,7 @@ proptest! {
         let refs: Vec<&Pat> = jobs.iter().collect();
         let cfg = ExecConfig { num_threads: threads, num_reducers: 3, ..ExecConfig::default() };
 
-        let oracle = run_merged_legacy(&refs, &store, &cfg);
+        let oracle = run_merged_legacy(&refs, &store);
         let merged = run_merged(&refs, &store, &cfg);
         for ((k, l), job) in merged.iter().zip(&oracle).zip(&jobs) {
             prop_assert_eq!(&k.records, &l.records, "run_merged {:?}", job);
@@ -432,7 +417,6 @@ proptest! {
             let solo = run_job(job, &store, &cfg);
             prop_assert_eq!(&solo.records, &l.records, "run_job {:?}", job);
             prop_assert_eq!(solo.stats.map_output_records, l.stats.map_output_records);
-            prop_assert_eq!(&run_job_legacy(job, &store, &cfg).records, &l.records);
             let (spilled, _) = run_job_external(job, &store, &ext).expect("spill dir");
             prop_assert_eq!(&spilled.records, &l.records, "external {:?}", job);
         }
@@ -443,9 +427,9 @@ proptest! {
         }
     }
 
-    /// Arbitrary bytes, the upper half included, where the lossy legacy
-    /// path is no oracle: the indexed kernel equals a split-and-filter
-    /// count written out here.
+    /// Arbitrary bytes, the upper half included, where the lossy reference
+    /// is no oracle: the indexed kernel equals a split-and-filter count
+    /// written out here.
     #[test]
     fn indexed_fan_out_counts_raw_bytes_exactly(
         bytes in prop::collection::vec(prop::sample::select(
@@ -479,6 +463,103 @@ proptest! {
     }
 }
 
+/// Submit `jobs` one segment apart (or 2 ms apart, if the scan has already
+/// gone idle), so that later riders join mid-revolution and wrap.
+fn staggered_server_outputs(
+    store: &BlockStore,
+    jobs: &[Pat],
+    threads: usize,
+    partition: PartitionMode,
+) -> Vec<s3_engine::JobOutput<String, i64>> {
+    let mut cfg = ServerConfig::new(2, threads);
+    cfg.partition = partition;
+    let server = SharedScanServer::with_config(store.clone(), cfg);
+    let handles: Vec<_> = jobs
+        .iter()
+        .map(|job| {
+            let seen = server.iterations();
+            let handle = server.submit(job.clone());
+            let t0 = std::time::Instant::now();
+            while server.iterations() == seen && t0.elapsed() < Duration::from_millis(2) {
+                std::thread::yield_now();
+            }
+            handle
+        })
+        .collect();
+    let outs = handles.into_iter().map(|h| h.wait().expect("job completes")).collect();
+    server.shutdown();
+    outs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One core, three fronts: for ASCII and raw high bytes, arbitrary block
+    /// cuts, all five rider shapes, 1 / 8 / 70 riders, both partitioners and
+    /// any thread and reducer count, `run_merged` equals the reference in
+    /// records and in every stat, `run_job` is `run_merged` of one, and a
+    /// staggered server revolution of the same riders equals both.
+    #[test]
+    fn batch_equals_reference_equals_server(
+        // The high bytes make invalid UTF-8 and one valid two-byte letter,
+        // never a Unicode space the `&str` reference would split at.
+        bytes in prop::collection::vec(
+            prop::sample::select(b"aaabbc\0x \n\t\r\x80\xc3\xff".to_vec()), 1..400),
+        cuts in prop::collection::vec(any::<u16>(), 0..6),
+        block_bytes in 4usize..64,
+        picks in prop::collection::vec(any::<u16>(), 70..71),
+        num_riders in prop::sample::select(vec![1usize, 8, 70]),
+        threads in prop::sample::select(vec![1usize, 2, 4]),
+        num_reducers in prop::sample::select(vec![1usize, 3, 8]),
+        weighted in any::<bool>(),
+    ) {
+        let store = cut_store(&bytes, &cuts, block_bytes);
+        // ASCII patterns only: an arena rider matches raw bytes, the others
+        // the lossy `&str`, and only ASCII reads the same in both.
+        let jobs: Vec<Pat> = picks[..num_riders]
+            .iter()
+            .map(|&pick| {
+                let pattern = match pick % 7 {
+                    0 => Pattern::All,
+                    1 => Pattern::Prefix(b"a".to_vec()),
+                    2 => Pattern::Prefix(b"ab".to_vec()),
+                    3 => Pattern::Prefix(b"b\0".to_vec()),
+                    4 => Pattern::Prefix(b"aaabbcaaab".to_vec()),
+                    5 => Pattern::Contains(b"ba".to_vec()),
+                    _ => Pattern::Contains(b"c".to_vec()),
+                };
+                let shape = match (pick >> 8) % 5 {
+                    0 => Shape::Identity,
+                    1 => Shape::TokenFold,
+                    2 => Shape::TokenBuf,
+                    3 => Shape::Line,
+                    _ => Shape::LineBuf,
+                };
+                Pat::new(pattern, shape)
+            })
+            .collect();
+        let refs: Vec<&Pat> = jobs.iter().collect();
+        let partition = if weighted {
+            PartitionMode::Weighted { split_factor_x1000: 1000 }
+        } else {
+            PartitionMode::Hash
+        };
+        let cfg = ExecConfig { num_threads: threads, num_reducers, partition };
+
+        let reference = run_merged_legacy(&refs, &store);
+        let merged = run_merged(&refs, &store, &cfg);
+        let served = staggered_server_outputs(&store, &jobs, threads, partition);
+        for (i, job) in jobs.iter().enumerate() {
+            prop_assert_eq!(&merged[i], &reference[i], "run_merged {:?}", job);
+            prop_assert_eq!(&served[i], &reference[i], "server {:?}", job);
+        }
+        for (job, m) in jobs.iter().zip(&merged).take(5) {
+            prop_assert_eq!(&run_job(job, &store, &cfg), m, "run_job {:?}", job);
+            prop_assert_eq!(&run_merged(&[job], &store, &cfg)[0], m, "run_merged of one {:?}", job);
+        }
+    }
+}
+
 fn fixed_store() -> BlockStore {
     let text = "alpha beta alpha gamma\nbeta delta alpha\nepsilon beta gamma delta\n".repeat(60);
     BlockStore::from_text(&text, 256)
@@ -490,7 +571,6 @@ fn fixed_store() -> BlockStore {
 #[test]
 fn rider_panicking_on_one_token_fails_alone() {
     let store = fixed_store();
-    let cfg = ExecConfig { num_threads: 1, num_reducers: 2, ..ExecConfig::default() };
     for shape in [Shape::Identity, Shape::TokenFold] {
         let mut poisoned = Pat::new(Pattern::Prefix(b"ep".to_vec()), shape);
         poisoned.poison = Some(b"epsilon".to_vec());
@@ -511,7 +591,7 @@ fn rider_panicking_on_one_token_fails_alone() {
                     }
                 } else {
                     let out = out.expect("healthy rider completes");
-                    let solo = run_job_legacy(job, &store, &cfg);
+                    let solo = run_job_legacy(job, &store);
                     assert_eq!(out.records, solo.records, "spec={speculation} rider {i}");
                     assert_eq!(out.stats.map_output_records, solo.stats.map_output_records);
                 }
@@ -527,7 +607,6 @@ fn rider_panicking_on_one_token_fails_alone() {
 #[test]
 fn a_rider_that_lies_about_its_prefix_is_quarantined() {
     let store = fixed_store();
-    let cfg = ExecConfig { num_threads: 1, num_reducers: 2, ..ExecConfig::default() };
     for shape in [Shape::Identity, Shape::TokenFold, Shape::TokenBuf] {
         let mut liar = Pat::new(Pattern::Prefix(b"a".to_vec()), shape);
         liar.claim = Some(b"al".to_vec());
@@ -540,7 +619,7 @@ fn a_rider_that_lies_about_its_prefix_is_quarantined() {
         for speculation in [false, true] {
             let mut outs = server_outputs(&store, &[liar.clone(), honest.clone()], 2, speculation);
             let honest_out = outs.pop().expect("two riders").expect("honest rider completes");
-            assert_eq!(honest_out.records, run_job_legacy(&honest, &store, &cfg).records);
+            assert_eq!(honest_out.records, run_job_legacy(&honest, &store).records);
             match outs.pop().expect("two riders") {
                 Err(JobError::Panicked(msg)) => {
                     assert!(msg.contains("token_prefix") && msg.contains("alpha"), "{msg}")

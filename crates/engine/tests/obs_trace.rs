@@ -5,7 +5,7 @@
 //! segment spans agree with the server's iteration counter, and the
 //! metrics registry totals agree with the server's own counters.
 
-use s3_engine::{BlockStore, MapReduceJob, Obs, SharedScanServer};
+use s3_engine::{BlockStore, MapReduceJob, Obs, ServerConfig, SharedScanServer};
 use s3_obs::chrome::{engine_event_to_chrome, validate_chrome_trace, write_chrome_trace, ChromeEvent};
 use s3_obs::trace::{Event, Phase, NO_ID};
 
@@ -46,7 +46,10 @@ fn named<'a>(events: &'a [Event], name: &str) -> Vec<&'a Event> {
 fn every_submitted_job_reaches_a_terminal_event() {
     const JOBS: usize = 5;
     let obs = Obs::new();
-    let server = SharedScanServer::new_observed(store(), 2, 3, &obs);
+    let server = SharedScanServer::with_config(
+        store(),
+        ServerConfig { obs: obs.clone(), ..ServerConfig::new(2, 3) },
+    );
     let handles: Vec<_> = (0..JOBS).map(|_| server.submit(Count)).collect();
     for h in handles {
         h.wait().expect("job completed");
@@ -132,20 +135,23 @@ fn every_submitted_job_reaches_a_terminal_event() {
 #[test]
 fn unobserved_server_records_nothing_and_costs_no_instruments() {
     let obs = Obs::off();
-    let server = SharedScanServer::new_observed(store(), 2, 2, &obs);
+    let server = SharedScanServer::with_config(
+        store(),
+        ServerConfig { obs: obs.clone(), ..ServerConfig::new(2, 2) },
+    );
     server.submit(Count).wait().expect("job completed");
     server.shutdown();
     assert!(obs.snapshot().is_none(), "Obs::off has no registry");
 }
 
 #[test]
-fn observed_run_job_records_phase_spans_and_counters() {
+fn observed_batch_records_phase_spans_and_counters() {
     let obs = Obs::new();
     let pool = s3_engine::WorkerPool::new_observed(2, "t", &obs);
     let s = store();
-    let out = s3_engine::run_job_observed(
+    let out = s3_engine::run_merged_observed(
         &pool,
-        &Count,
+        &[&Count],
         &s,
         &s3_engine::ExecConfig {
             num_threads: 2,
@@ -153,7 +159,9 @@ fn observed_run_job_records_phase_spans_and_counters() {
         ..s3_engine::ExecConfig::default()
         },
         &obs,
-    );
+    )
+    .pop()
+    .expect("one job in, one output out");
     let snap = obs.snapshot().expect("on");
     assert_eq!(snap.counters["engine.map_records"], out.stats.map_output_records);
     assert_eq!(snap.counters["engine.blocks_scanned"], out.stats.blocks_scanned);

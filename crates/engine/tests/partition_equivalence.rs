@@ -1,9 +1,9 @@
 //! Property-based proof that skew-aware weighted partitioning is a pure
-//! scheduling change: for any corpus, any thread count, either scan path,
-//! and any split factor, [`PartitionMode::Weighted`] produces output
-//! record-identical to [`PartitionMode::Hash`] — same keys, same values,
-//! same stats. Only the shard boundaries (and therefore tail latency)
-//! move.
+//! scheduling change: for any corpus, any thread count and any split
+//! factor, [`PartitionMode::Weighted`] produces output record-identical to
+//! [`PartitionMode::Hash`] and to the sequential reference — same keys,
+//! same values, same stats. Only the shard boundaries (and therefore tail
+//! latency) move.
 
 use proptest::prelude::*;
 use s3_engine::{
@@ -87,9 +87,8 @@ fn cfg(threads: usize, reducers: usize, partition: PartitionMode) -> ExecConfig 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Weighted ≡ hash for solo jobs across the thread grid and both scan
-    /// paths (kernel byte-slice and legacy `&str`), over all accumulator
-    /// shapes.
+    /// Weighted ≡ hash ≡ reference for solo jobs across the thread grid,
+    /// over all accumulator shapes.
     #[test]
     fn weighted_equals_hash_solo(
         text in corpus(),
@@ -106,24 +105,17 @@ proptest! {
             token: flags & 2 == 2,
         };
         let weighted = PartitionMode::Weighted { split_factor_x1000: split_x1000 };
+        let reference = run_job_legacy(&job, &store);
         for threads in THREADS {
-            let hash_cfg = cfg(threads, reducers, PartitionMode::Hash);
-            let wtd_cfg = cfg(threads, reducers, weighted);
-            let reference = run_job(&job, &store, &hash_cfg);
-            for (label, out) in [
-                ("kernel", run_job(&job, &store, &wtd_cfg)),
-                ("legacy", run_job_legacy(&job, &store, &wtd_cfg)),
-            ] {
-                prop_assert_eq!(&out.records, &reference.records,
-                    "{} path, threads {} split {}", label, threads, split_x1000);
-                prop_assert_eq!(out.stats.map_output_records, reference.stats.map_output_records);
-                prop_assert_eq!(out.stats.bytes_scanned, reference.stats.bytes_scanned);
+            for partition in [PartitionMode::Hash, weighted] {
+                let out = run_job(&job, &store, &cfg(threads, reducers, partition));
+                prop_assert_eq!(&out, &reference, "{:?}, threads {}", partition, threads);
             }
         }
     }
 
-    /// Weighted ≡ hash for merged batches mixing fold/token/buffered jobs,
-    /// across the thread grid and both scan paths.
+    /// Weighted ≡ hash ≡ reference for merged batches mixing
+    /// fold/token/buffered jobs, across the thread grid.
     #[test]
     fn weighted_equals_hash_merged(
         text in corpus(),
@@ -143,19 +135,14 @@ proptest! {
             })
             .collect();
         let refs: Vec<&FlexPrefix> = jobs.iter().collect();
+        let reference = run_merged_legacy(&refs, &store);
         for threads in THREADS {
-            let hash_cfg = cfg(threads, reducers, PartitionMode::Hash);
-            let wtd_cfg = cfg(threads, reducers, PartitionMode::weighted());
-            let reference = run_merged(&refs, &store, &hash_cfg);
-            for (label, merged) in [
-                ("kernel", run_merged(&refs, &store, &wtd_cfg)),
-                ("legacy", run_merged_legacy(&refs, &store, &wtd_cfg)),
-            ] {
+            for partition in [PartitionMode::Hash, PartitionMode::weighted()] {
+                let merged = run_merged(&refs, &store, &cfg(threads, reducers, partition));
                 for ((job, m), r) in jobs.iter().zip(&merged).zip(&reference) {
-                    prop_assert_eq!(&m.records, &r.records,
-                        "{} path, prefix {:?} threads {} fold={} token={}",
-                        label, &job.prefix, threads, job.fold, job.token);
-                    prop_assert_eq!(m.stats.map_output_records, r.stats.map_output_records);
+                    prop_assert_eq!(m, r,
+                        "{:?}, prefix {:?} threads {} fold={} token={}",
+                        partition, &job.prefix, threads, job.fold, job.token);
                 }
             }
         }

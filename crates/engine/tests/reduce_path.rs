@@ -1,14 +1,14 @@
-//! The reduce path of jobs without a fold combiner on [`SharedScanServer`]:
-//! records are routed to their reduce shard and grouped by key at emit (one
-//! hash per record, a hot key held once per worker), the shard stable-sorts
-//! the groups by key, and the published relation equals the legacy
-//! executor's — on both scan loops, under hash and weighted partitioning,
-//! at any thread count and block cut.
+//! The reduce path of jobs without a fold combiner, on [`SharedScanServer`]
+//! and on the batch front that shares its core: records are routed to their
+//! reduce shard and grouped by key at emit (one hash per record, a hot key
+//! held once per worker), the shard stable-sorts the groups by key, and the
+//! published relation equals the reference's — on both scan loops, under
+//! hash and weighted partitioning, at any thread count and block cut.
 
 use proptest::prelude::*;
 use s3_engine::{
-    run_job_legacy, BlockStore, ExecConfig, FtConfig, JobError, MapReduceJob, Obs, PartitionMode,
-    ServerConfig, SharedScanServer,
+    run_job, run_job_legacy, run_merged, BlockStore, ExecConfig, FtConfig, JobError, JobOutput,
+    MapReduceJob, Obs, PartitionMode, ServerConfig, SharedScanServer,
 };
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -113,7 +113,7 @@ proptest! {
         let jobs: Vec<LineWeight> = prefixes.iter().map(|p| LineWeight { prefix: p.clone() }).collect();
         let oracle: Vec<_> = jobs
             .iter()
-            .map(|j| run_job_legacy(j, &store, &ExecConfig { num_threads: 1, num_reducers: 3, ..ExecConfig::default() }))
+            .map(|j| run_job_legacy(j, &store))
             .collect();
         for (mode, ft, partition) in server_modes() {
             for threads in [1, 2, 4] {
@@ -202,6 +202,23 @@ impl MapReduceJob for CountedWords {
     }
 }
 
+/// `run_job` of one [`CountedWords`] rider, or `run_merged` of several, on
+/// two threads and three reduce shards: each rider with its output.
+fn counted_batch(
+    store: &BlockStore,
+    riders: usize,
+    partition: PartitionMode,
+) -> Vec<(CountedWords, JobOutput<CountedKey, i64>)> {
+    let jobs: Vec<CountedWords> = (0..riders).map(|_| CountedWords::new()).collect();
+    let refs: Vec<&CountedWords> = jobs.iter().collect();
+    let cfg = ExecConfig { num_threads: 2, num_reducers: 3, partition };
+    let outs = match refs[..] {
+        [job] => vec![run_job(job, store, &cfg)],
+        _ => run_merged(&refs, store, &cfg),
+    };
+    jobs.into_iter().zip(outs).collect()
+}
+
 /// The design in one number: a non-fold job's record is hashed when it is
 /// emitted, to pick its reduce shard and its group there, and never again —
 /// not by the resilient loop's merge, not by the weighted plan's sketch or
@@ -244,6 +261,20 @@ fn a_non_fold_record_is_hashed_exactly_once() {
             );
         }
     }
+    // The batch front runs the same core: nothing between emit and output
+    // hashes a record again, for a solo job or for each of three riders.
+    for partition in [PartitionMode::Hash, tight] {
+        for riders in [1, 3] {
+            for (job, out) in counted_batch(&store, riders, partition) {
+                assert_eq!((out.stats.map_output_records, out.records.len()), (1800, 1201));
+                assert_eq!(
+                    job.hashes.load(Ordering::Relaxed),
+                    1800,
+                    "{riders} riders {partition:?}: one hash per emitted record"
+                );
+            }
+        }
+    }
 }
 
 /// A key emitted over and over stays in the worker's table of recent keys
@@ -267,6 +298,19 @@ fn hot_keys_are_ordered_once_per_worker_not_once_per_record() {
             compared < records / 10,
             "{mode}: {compared} key compares for 5 keys on 2 workers ({records} records)"
         );
+    }
+    let tight = PartitionMode::Weighted { split_factor_x1000: 1000 };
+    for partition in [PartitionMode::Hash, tight] {
+        for riders in [1, 3] {
+            for (job, out) in counted_batch(&store, riders, partition) {
+                assert_eq!((out.stats.map_output_records, out.records.len()), (2640, 5));
+                let compared = job.compares.load(Ordering::Relaxed);
+                assert!(
+                    compared < 2640 / 10,
+                    "{riders} riders {partition:?}: {compared} key compares for 5 keys on 2 workers"
+                );
+            }
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 //! cargo run --release -p s3-bench --example observed_shared_scan
 //! ```
 
-use s3_engine::{BlockStore, Obs, SharedScanServer};
+use s3_engine::{BlockStore, Obs, ServerConfig, SharedScanServer};
 use s3_obs::chrome::{engine_event_to_chrome, write_chrome_trace, ChromeEvent};
 use s3_sim::SimRng;
 use s3_workloads::jobs::PatternWordCount;
@@ -31,7 +31,10 @@ fn main() {
     );
 
     let obs = Obs::new();
-    let server = SharedScanServer::new_observed(store, 4, 4, &obs);
+    let server = SharedScanServer::with_config(
+        store,
+        ServerConfig { obs: obs.clone(), ..ServerConfig::new(4, 4) },
+    );
 
     // The monitor shares only the Obs handle with the server — reading a
     // snapshot aggregates the per-thread shards without stopping writers.

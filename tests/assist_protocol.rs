@@ -10,7 +10,7 @@
 //! these prove the claim protocol that produces them.
 
 use s3_engine::{
-    run_job, BlockStore, EngineChaosConfig, EngineFault, ExecConfig, FaultPlan, FtConfig, Obs,
+    run_job_legacy, BlockStore, EngineChaosConfig, EngineFault, FaultPlan, FtConfig, Obs,
     ServerConfig, SharedScanServer,
 };
 use s3_mapreduce::check_engine_events;
@@ -28,16 +28,7 @@ fn store() -> BlockStore {
 }
 
 fn solo(prefix: &str, s: &BlockStore) -> BTreeMap<String, i64> {
-    run_job(
-        &PatternWordCount::prefix(prefix),
-        s,
-        &ExecConfig {
-            num_threads: 1,
-            num_reducers: 4,
-        ..ExecConfig::default()
-        },
-    )
-    .records
+    run_job_legacy(&PatternWordCount::prefix(prefix), s).records
 }
 
 /// `Ok(records)` or the panic message, per submitted job.

@@ -11,7 +11,7 @@
 //! times before failing. `#[ignore]`d by default — CI's obs-slo-smoke
 //! job runs it with `--ignored`.
 
-use s3_engine::{BlockStore, Obs, SharedScanServer};
+use s3_engine::{BlockStore, Obs, ServerConfig, SharedScanServer};
 use s3_sim::SimRng;
 use s3_workloads::jobs::PatternWordCount;
 use s3_workloads::text::TextGen;
@@ -31,7 +31,10 @@ fn corpus() -> BlockStore {
 
 fn run_workload(store: &BlockStore, obs: &Obs) -> f64 {
     let t0 = Instant::now();
-    let server = SharedScanServer::new_observed(store.clone(), 2, 2, obs);
+    let server = SharedScanServer::with_config(
+        store.clone(),
+        ServerConfig { obs: obs.clone(), ..ServerConfig::new(2, 2) },
+    );
     let handles: Vec<_> = (0..JOBS)
         .map(|i| {
             let p = format!("{}a", (b'b' + i as u8) as char);

@@ -4,8 +4,8 @@
 //! reducer configurations.
 
 use s3_engine::{
-    run_job, run_job_legacy, run_merged, run_merged_legacy, BlockStore, ExecConfig, FtConfig, Obs,
-    PartitionMode, ServerConfig, SharedScanServer,
+    run_job, run_merged, run_merged_legacy, BlockStore, ExecConfig, FtConfig, Obs, PartitionMode,
+    ServerConfig, SharedScanServer,
 };
 use s3_mapreduce::check_engine_events;
 use s3_obs::JobJournal;
@@ -142,8 +142,8 @@ fn shared_scan_reads_each_byte_once() {
 /// The workload family's own riders through the fan-out kernel: every
 /// pattern kind — `Prefix` of length 0, 1, 2 and past the indexed depth,
 /// the patterns that declare no prefix — at 1, 8 and 65+ riders equals the
-/// unindexed legacy oracle, records and map-output counts, on `run_merged`
-/// and on both scan loops of the server.
+/// unindexed reference, records and map-output counts, on `run_merged` and
+/// on both scan loops of the server.
 #[test]
 fn pattern_riders_equal_the_unindexed_oracle() {
     let gen = TextGen::new(5000, 1.1);
@@ -171,7 +171,7 @@ fn pattern_riders_equal_the_unindexed_oracle() {
         // prefix riders and the full set mixes everything.
         let jobs: Vec<PatternWordCount> = pool.iter().rev().take(riders).cloned().collect();
         let refs: Vec<&PatternWordCount> = jobs.iter().collect();
-        let oracle = run_merged_legacy(&refs, &store, &cfg);
+        let oracle = run_merged_legacy(&refs, &store);
         let merged = run_merged(&refs, &store, &cfg);
         let mut outputs = vec![merged];
         for ft in [FtConfig::default(), FtConfig::resilient()] {
@@ -195,34 +195,50 @@ fn pattern_riders_equal_the_unindexed_oracle() {
     }
 }
 
-/// The paper's second workload family on the live server: `SelectionJob`
-/// riders (non-fold, line-based, every key unique), staggered so that later
-/// ones join mid-revolution and wrap, equal the legacy executor — records
-/// and map-output counts — on both scan loops, under hash and weighted
-/// partitioning (split factor 1.0, the tightest), at 1, 2 and 4 threads and
-/// at block cuts that fall mid-row; the traces satisfy the engine's and the
-/// journal's invariants.
+/// The paper's second workload family on all three fronts: `SelectionJob`
+/// riders (non-fold, line-based, every key unique) over rows some of which
+/// raw high bytes have damaged, at block cuts that fall mid-row, 1, 8 and 70
+/// of them. `run_merged` equals the reference in records and in every stat
+/// under hash and weighted partitioning (split factor 1.0, the tightest),
+/// at 1, 2 and 4 threads and 1, 3 and 8 reducers; `run_job` is `run_merged`
+/// of one; and on the live server the same riders, staggered so that later
+/// ones join mid-revolution and wrap, equal both on both scan loops, with
+/// traces that satisfy the engine's and the journal's invariants.
 #[test]
-fn staggered_selection_riders_equal_the_legacy_oracle() {
-    let text = LineItemGen::new().generate(&mut SimRng::seed_from_u64(2027), 384 << 10);
-    let jobs: Vec<SelectionJob> =
-        (5..=45).step_by(10).map(|t| SelectionJob { quantity_threshold: t }).collect();
+fn selection_riders_equal_the_reference_on_every_front() {
+    let mut text = LineItemGen::new().generate(&mut SimRng::seed_from_u64(2027), 192 << 10).into_bytes();
+    for (i, byte) in text.iter_mut().enumerate().filter(|(i, _)| i % 1013 == 0) {
+        *byte = [0x80, 0xc3, 0xff][i % 3];
+    }
     let tight = PartitionMode::Weighted { split_factor_x1000: 1000 };
-    for block_bytes in [1_000, 8 << 10, 37_123] {
-        let store = BlockStore::from_bytes(text.as_bytes(), block_bytes);
-        let one = ExecConfig { num_threads: 1, num_reducers: 3, ..ExecConfig::default() };
-        let oracle: Vec<_> = jobs.iter().map(|j| run_job_legacy(j, &store, &one)).collect();
-        assert!(oracle.windows(2).all(|w| w[1].records.len() < w[0].records.len()));
-        for ft in [FtConfig::default(), FtConfig::resilient()] {
-            for partition in [PartitionMode::Hash, tight] {
-                for threads in [1, 2, 4] {
+    for (riders, block_bytes) in [(1, 8 << 10), (8, 1_000), (8, 8 << 10), (8, 37_123), (70, 37_123)] {
+        let jobs: Vec<SelectionJob> = (0..riders)
+            .map(|i| SelectionJob { quantity_threshold: 5 + (i * 40 / riders) as u32 })
+            .collect();
+        let refs: Vec<&SelectionJob> = jobs.iter().collect();
+        let store = BlockStore::from_bytes(&text, block_bytes);
+        let oracle = run_merged_legacy(&refs, &store);
+        assert!(oracle.windows(2).all(|w| w[1].records.len() <= w[0].records.len()));
+        assert!(oracle.iter().all(|o| !o.records.is_empty()));
+        for partition in [PartitionMode::Hash, tight] {
+            for threads in [1, 2, 4] {
+                for num_reducers in [1, 3, 8] {
+                    let mode = format!("{riders} riders, {block_bytes}-byte blocks, {partition:?}, {threads} threads, {num_reducers} reducers");
+                    let cfg = ExecConfig { num_threads: threads, num_reducers, partition };
+                    let merged = run_merged(&refs, &store, &cfg);
+                    assert!(merged == oracle, "run_merged: {mode}");
+                    let last = refs[riders - 1];
+                    assert!(run_job(last, &store, &cfg) == merged[riders - 1], "run_job: {mode}");
+                    assert!(run_merged(&[last], &store, &cfg)[0] == merged[riders - 1], "run_merged of one: {mode}");
+                }
+                for ft in [FtConfig::default(), FtConfig::resilient()] {
                     let mode = format!(
-                        "{block_bytes}-byte blocks, speculation {}, {partition:?}, {threads} threads",
+                        "{riders} riders, {block_bytes}-byte blocks, speculation {}, {partition:?}, {threads} threads",
                         ft.speculation
                     );
                     let obs = Obs::new();
                     let mut cfg = ServerConfig::new(4, threads);
-                    cfg.ft = ft.clone();
+                    cfg.ft = ft;
                     cfg.partition = partition;
                     cfg.obs = obs.clone();
                     let server = SharedScanServer::with_config(store.clone(), cfg);
@@ -241,12 +257,7 @@ fn staggered_selection_riders_equal_the_legacy_oracle() {
                         .collect();
                     for ((h, want), job) in handles.into_iter().zip(&oracle).zip(&jobs) {
                         let out = h.wait().expect("job completes");
-                        let t = job.quantity_threshold;
-                        assert_eq!(out.records, want.records, "{mode}: threshold {t}");
-                        assert_eq!(
-                            out.stats.map_output_records, want.stats.map_output_records,
-                            "{mode}: threshold {t}"
-                        );
+                        assert!(out == *want, "{mode}: threshold {}", job.quantity_threshold);
                     }
                     server.shutdown();
                     let core = obs.core().expect("obs is on");

@@ -182,7 +182,7 @@ mod engine_journal {
     //! admit, exactly one terminal, segment slices covering the job's
     //! full revolution, and an exact latency decomposition.
 
-    use s3_engine::{BlockStore, Obs, SharedScanServer};
+    use s3_engine::{BlockStore, Obs, ServerConfig, SharedScanServer};
     use s3_obs::journal::{JobJournal, Outcome};
     use s3_sim::SimRng;
     use s3_workloads::jobs::PatternWordCount;
@@ -197,7 +197,10 @@ mod engine_journal {
         let blocks = store.num_blocks() as u64;
 
         let obs = Obs::new();
-        let server = SharedScanServer::new_observed(store, 2, 2, &obs);
+        let server = SharedScanServer::with_config(
+            store,
+            ServerConfig { obs: obs.clone(), ..ServerConfig::new(2, 2) },
+        );
         let handles: Vec<_> = (0..JOBS)
             .map(|i| {
                 let p = format!("{}a", (b'b' + i as u8) as char);
