@@ -58,7 +58,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let cfg = ExecConfig {
         num_threads: THREADS,
         num_reducers: 8,
-    ..ExecConfig::default()
     };
     let job = PatternWordCount::all();
 

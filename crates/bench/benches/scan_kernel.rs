@@ -80,7 +80,7 @@ fn bench_fan_out(c: &mut Criterion) {
     let mut g = c.benchmark_group("fan_out");
     let store = BlockStore::from_bytes(&corpus(4 << 20), 64 << 10);
     let pool = WorkerPool::new(1);
-    let cfg = ExecConfig { num_threads: 1, num_reducers: 2, ..ExecConfig::default() };
+    let cfg = ExecConfig { num_threads: 1, num_reducers: 2 };
     g.throughput(Throughput::Bytes(store.total_bytes() as u64));
     for riders in [1usize, 8, 16] {
         let jobs = prefix_riders(riders);

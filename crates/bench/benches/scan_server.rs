@@ -42,7 +42,6 @@ fn bench_server(c: &mut Criterion) {
             let cfg = ExecConfig {
                 num_threads: 4,
                 num_reducers: 8,
-            ..ExecConfig::default()
             };
             b.iter(|| {
                 prefixes(k)

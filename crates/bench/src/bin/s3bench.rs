@@ -27,7 +27,7 @@
 
 use s3_engine::{
     run_job, AdaptiveConfig, BlockStore, EngineFault, ExecConfig, FaultPlan, FtConfig,
-    MapReduceJob, Obs, PartitionMode, ServerConfig, SharedScanServer,
+    MapReduceJob, Obs, ServerConfig, SharedScanServer,
 };
 use s3_sim::SimRng;
 use s3_workloads::jobs::PatternWordCount;
@@ -50,15 +50,15 @@ const STRAGGLER_DELAY_US: u64 = 1_000;
 /// multi-block segments, so every segment has an uncommitted tail for the
 /// fast workers to recover.
 const TAIL_BPS: usize = 4;
-/// Zipf exponent for the skewed-reduce comparison. At s = 1.2 over the
+/// Zipf exponent for the skewed-reduce regression row. At s = 1.2 over the
 /// [`SKEW_VOCAB`]-word vocabulary the head word alone draws roughly a
 /// quarter of all tokens, so hash partitioning hot-spots whichever shard
 /// it lands in. The vocabulary is small enough that per-record volume
 /// (not per-key overhead) dominates each shard's reduce cost — the
-/// regime where placement decides the tail.
+/// regime where one shard decides the tail.
 const SKEW_ZIPF: f64 = 1.2;
 const SKEW_VOCAB: usize = 1_000;
-/// Threads (= reduce shards) and segment size for the skew comparison:
+/// Threads (= reduce shards) and segment size for the skew row:
 /// enough shards that one hot shard visibly drags the reduce phase.
 const SKEW_THREADS: usize = 4;
 const SKEW_BPS: usize = 8;
@@ -106,7 +106,6 @@ fn bench_single_job(store: &BlockStore, repeats: usize) -> f64 {
     let cfg = ExecConfig {
         num_threads: THREADS,
         num_reducers: REDUCERS,
-    ..ExecConfig::default()
     };
     let job = PatternWordCount::all();
     let samples = (0..repeats)
@@ -273,7 +272,7 @@ fn segment_tail_json(snap: &s3_obs::MetricsSnapshot) -> serde_json::Value {
 /// one record per worker, which erases exactly the imbalance this
 /// benchmark measures.) The reduce runs a 64-bit mix per occurrence —
 /// modeling a compute-bearing aggregation, the regime where a shard's
-/// cost tracks its record volume and placement decides the tail.
+/// cost tracks its record volume and the hot shard decides the tail.
 struct SkewWordCount;
 
 impl MapReduceJob for SkewWordCount {
@@ -300,21 +299,15 @@ impl MapReduceJob for SkewWordCount {
 }
 
 /// One skewed-reduce measurement: a [`SkewWordCount`] revolution over the
-/// Zipf [`SKEW_ZIPF`] corpus under the given partition mode. Returns the
-/// median run's (wall ms, reduce-phase wall ms, metrics snapshot); the
-/// reduce-phase wall is the span from the first `reduce_shard` task
-/// starting to the last one ending — under hash partitioning that is the
-/// hot shard's runtime, which is what weighted planning attacks.
-fn bench_skewed_reduce(
-    store: &BlockStore,
-    repeats: usize,
-    partition: PartitionMode,
-) -> (f64, f64, s3_obs::MetricsSnapshot) {
+/// Zipf [`SKEW_ZIPF`] corpus. Returns the median run's (wall ms,
+/// reduce-phase wall ms, metrics snapshot); the reduce-phase wall is the
+/// span from the first `reduce_shard` task starting to the last one
+/// ending — under hash partitioning, the hot shard's runtime.
+fn bench_skewed_reduce(store: &BlockStore, repeats: usize) -> (f64, f64, s3_obs::MetricsSnapshot) {
     let mut samples: Vec<(f64, f64, s3_obs::MetricsSnapshot)> = (0..repeats)
         .map(|_| {
             let mut cfg = ServerConfig::new(SKEW_BPS, SKEW_THREADS);
             cfg.obs = Obs::new();
-            cfg.partition = partition;
             let obs = cfg.obs.clone();
             let ms = time_ms(|| {
                 let server = SharedScanServer::with_config(store.clone(), cfg);
@@ -494,19 +487,15 @@ fn main() {
 
     eprintln!(
         "s3bench: skewed reduce (Zipf s={SKEW_ZIPF}, no combiner), \
-         hash vs weighted partitioning, {SKEW_THREADS} shards..."
+         hash partitioning, {SKEW_THREADS} shards..."
     );
     let skew_store = {
         let gen = TextGen::new(SKEW_VOCAB, SKEW_ZIPF);
         let text = gen.generate(&mut SimRng::seed_from_u64(47), CORPUS_BYTES);
         BlockStore::from_text(&text, BLOCK_BYTES)
     };
-    let (hash_wall_ms, hash_reduce_ms, hash_snap) =
-        bench_skewed_reduce(&skew_store, repeats, PartitionMode::Hash);
+    let (hash_wall_ms, hash_reduce_ms, hash_snap) = bench_skewed_reduce(&skew_store, repeats);
     eprintln!("  skew_hash_reduce      {hash_reduce_ms:>10.2} ms  (wall {hash_wall_ms:.2} ms)");
-    let (wtd_wall_ms, wtd_reduce_ms, wtd_snap) =
-        bench_skewed_reduce(&skew_store, repeats, PartitionMode::weighted());
-    eprintln!("  skew_weighted_reduce  {wtd_reduce_ms:>10.2} ms  (wall {wtd_wall_ms:.2} ms)");
 
     eprintln!("s3bench: scan-kernel microbench (single thread, contiguous corpus)...");
     // More repeats: each pass is milliseconds, so medians are cheap.
@@ -605,7 +594,7 @@ fn main() {
             )),
         },
         "skew": {
-            "note": "word count with no combiner collapse over a Zipf-skewed corpus; hash = distribution-oblivious sharding, weighted = sketch-built partition plan with heavy-shard splitting; reduce wall = first reduce_shard start to last reduce_shard end of the median run",
+            "note": "word count with no combiner collapse over a Zipf-skewed corpus, hash sharding (the only partitioner); a regression row for the hot shard; reduce wall = first reduce_shard start to last reduce_shard end of the median run",
             "zipf_exponent": SKEW_ZIPF,
             "vocab": SKEW_VOCAB,
             "shards": SKEW_THREADS,
@@ -614,16 +603,6 @@ fn main() {
                 "reduce_wall_ms": hash_reduce_ms,
                 "shards": (skew_shard_json(&hash_snap)),
             },
-            "weighted": {
-                "wall_ms": wtd_wall_ms,
-                "reduce_wall_ms": wtd_reduce_ms,
-                "shards": (skew_shard_json(&wtd_snap)),
-            },
-            "reduce_wall_speedup": (speedup(hash_reduce_ms, wtd_reduce_ms)),
-            "shard_p99_us_speedup": (speedup(
-                hash_snap.histograms["engine.reduce_shard_us"].p99,
-                wtd_snap.histograms["engine.reduce_shard_us"].p99,
-            )),
         },
         "metrics": metrics,
     });

@@ -102,8 +102,6 @@ fn usage() -> ! {
          s3chaos engine --assist    engine fuzzing with a guaranteed\n  \
          \x20                       straggler per plan and mandatory\n  \
          \x20                       work-assist accounting checks\n  \
-         s3chaos engine --weighted  engine fuzzing with skew-aware\n  \
-         \x20                       weighted reduce partitioning on\n  \
          s3chaos service [...]   fuzz the multi-tenant ScanService under\n  \
          \x20                       seeded overload bursts, QoS classes,\n  \
          \x20                       deadlines, and per-tenant worker faults\n  \
@@ -117,7 +115,6 @@ struct Args {
     service: bool,
     adaptive: bool,
     assist: bool,
-    weighted: bool,
     seeds: u64,
     seed: Option<u64>,
     verbose: bool,
@@ -132,7 +129,6 @@ fn parse_args() -> Args {
         service,
         adaptive: false,
         assist: false,
-        weighted: false,
         seeds: if engine || service { 100 } else { 200 },
         seed: None,
         verbose: false,
@@ -149,12 +145,11 @@ fn parse_args() -> Args {
             }
             "--adaptive" => args.adaptive = true,
             "--assist" => args.assist = true,
-            "--weighted" => args.weighted = true,
             "--verbose" | "-v" => args.verbose = true,
             _ => usage(),
         }
     }
-    if (args.adaptive || args.assist || args.weighted) && !args.engine {
+    if (args.adaptive || args.assist) && !args.engine {
         usage()
     }
     if args.adaptive && args.assist {
@@ -439,7 +434,7 @@ fn replay_one(seed: u64, cluster: &ClusterTopology, dataset: &Dataset, plan: &Ch
 mod engine_fuzz {
     use s3_engine::{
         run_job_legacy, AdaptiveConfig, BlockStore, EngineChaosConfig, EngineFault,
-        FaultPlan, FtConfig, Obs, PartitionMode, ServerConfig, SharedScanServer,
+        FaultPlan, FtConfig, Obs, ServerConfig, SharedScanServer,
     };
     use s3_mapreduce::check_engine_events;
     use s3_sim::SimRng;
@@ -468,11 +463,10 @@ mod engine_fuzz {
         num_segments: u64,
         adaptive: bool,
         assist: bool,
-        weighted: bool,
         solo: BTreeMap<&'static str, BTreeMap<String, i64>>,
     }
 
-    pub fn build_world(adaptive: bool, assist: bool, weighted: bool) -> World {
+    pub fn build_world(adaptive: bool, assist: bool) -> World {
         let text = TextGen::paper_like().generate(&mut SimRng::seed_from_u64(7), 96 << 10);
         // Assist mode scans coarser blocks: with 2 KiB blocks one eager
         // worker can drain a whole segment's claim cursor before its
@@ -531,7 +525,6 @@ mod engine_fuzz {
             num_segments,
             adaptive,
             assist,
-            weighted,
             solo,
         }
     }
@@ -598,9 +591,6 @@ mod engine_fuzz {
 
         let mut cfg = ServerConfig::new(BLOCKS_PER_SEGMENT, world.cfg.num_workers);
         cfg.obs = Obs::new();
-        if world.weighted {
-            cfg.partition = PartitionMode::weighted();
-        }
         cfg.ft = FtConfig {
             deadline_floor: Duration::from_millis(3),
             ..FtConfig::resilient()
@@ -1165,7 +1155,7 @@ fn engine_main(args: &Args) -> ExitCode {
             default_hook(info);
         }
     }));
-    let world = engine_fuzz::build_world(args.adaptive, args.assist, args.weighted);
+    let world = engine_fuzz::build_world(args.adaptive, args.assist);
     if let Some(seed) = args.seed {
         return if engine_fuzz::replay_one(&world, seed) {
             ExitCode::SUCCESS
@@ -1176,12 +1166,9 @@ fn engine_main(args: &Args) -> ExitCode {
     println!(
         "s3chaos engine: fuzzing seeds 0..{} over the shared-scan server{}",
         args.seeds,
-        match (args.adaptive, args.assist, args.weighted) {
-            (true, _, true) => " (adaptive segment sizing, weighted partitioning)",
-            (true, _, false) => " (adaptive segment sizing)",
-            (_, true, true) => " (work-assist accounting, weighted partitioning)",
-            (_, true, false) => " (work-assist accounting)",
-            (_, _, true) => " (weighted partitioning)",
+        match (args.adaptive, args.assist) {
+            (true, _) => " (adaptive segment sizing)",
+            (_, true) => " (work-assist accounting)",
             _ => "",
         }
     );
@@ -1218,9 +1205,6 @@ fn engine_main(args: &Args) -> ExitCode {
             }
             if args.assist {
                 mode.push_str(" --assist");
-            }
-            if args.weighted {
-                mode.push_str(" --weighted");
             }
             println!(" replay with: s3chaos engine{mode} --seed {seed}");
         }

@@ -254,15 +254,6 @@ impl<V> TokenMap<V> {
         }
     }
 
-    /// Visit each distinct token's bytes and value in insertion order
-    /// without consuming the map (the weighted partitioner sketches token
-    /// accumulators before the finish shards drain them).
-    pub fn for_each(&self, mut f: impl FnMut(&[u8], &V)) {
-        for e in &self.entries {
-            f(&self.arena[e.off as usize..(e.off + e.len) as usize], &e.value);
-        }
-    }
-
     /// Merge every (token, value) of `other` into `self` with `fold`.
     pub fn merge_from(&mut self, other: TokenMap<V>, mut fold: impl FnMut(&mut V, V)) {
         other.drain_into(|tok, v| self.upsert(tok, v, &mut fold));

@@ -12,22 +12,20 @@
 //! There is one batch function, [`run_merged_observed`]. It owns only the
 //! block walk; what happens to a block and to the accumulators afterwards
 //! is the map core (`fanout::scan_block_for_job`) and the reduce core
-//! (`reduce::{plan_bins, split_into_bins, reduce_bin, assemble}`) the
+//! (`reduce::{split_into_bins, reduce_bin, assemble}`) the
 //! [`SharedScanServer`](crate::SharedScanServer) runs too.
 //! [`run_job_legacy`] is the reference all of them are tested against: a
 //! sequential function that shares none of that code.
 
 use crate::fanout::{scan_block_for_job, RiderIndex, Selection};
-use crate::partition::{key_hash, shard_of_hash, PartitionPlan};
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
-use crate::reduce::{assemble, plan_bins, reduce_bin, split_into_bins, JobAcc, JobPartial};
+use crate::reduce::{assemble, reduce_bin, split_into_bins, JobAcc, JobPartial};
 use crate::store::BlockStore;
-use crate::types::{ConfigError, MapReduceJob, PartitionMode};
+use crate::types::{ConfigError, MapReduceJob};
 use parking_lot::Mutex;
 use s3_obs::trace::Ids;
 use s3_obs::Obs;
 use std::collections::BTreeMap;
-use std::hash::Hash;
 
 /// Execution parameters.
 #[derive(Debug, Clone)]
@@ -35,11 +33,9 @@ pub struct ExecConfig {
     /// Worker threads for the map and reduce phases. (Ignored by
     /// [`run_merged_observed`], which sizes to the pool it is given.)
     pub num_threads: usize,
-    /// Number of reduce shards. Zero clamps to one.
+    /// Number of reduce shards; a key goes to the shard its hash picks.
+    /// Zero clamps to one.
     pub num_reducers: usize,
-    /// How reduce shards are assigned to keys (see [`PartitionMode`]).
-    /// Defaults to [`PartitionMode::Hash`] for bit-compatibility.
-    pub partition: PartitionMode,
 }
 
 impl ExecConfig {
@@ -59,7 +55,6 @@ impl ExecConfig {
         Ok(ExecConfig {
             num_threads,
             num_reducers,
-            partition: PartitionMode::Hash,
         })
     }
 }
@@ -71,7 +66,6 @@ impl Default for ExecConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             num_reducers: 8,
-            partition: PartitionMode::Hash,
         }
     }
 }
@@ -100,12 +94,6 @@ pub struct JobOutput<K: Ord, Out> {
     pub records: BTreeMap<K, Out>,
     /// Execution counters.
     pub stats: ScanStats,
-}
-
-pub(crate) fn partition_of<K: Hash>(key: &K, num_reducers: usize) -> usize {
-    // Bias-free widening-multiply reduction (see `partition::shard_of_hash`);
-    // a zero reducer count clamps to one partition instead of faulting.
-    shard_of_hash(key_hash(key), num_reducers)
 }
 
 /// Run one job over the whole store: [`run_merged`] of one rider.
@@ -150,8 +138,8 @@ pub fn run_merged<J: MapReduceJob>(
 ///
 /// Workers claim blocks off one cursor; each block is tokenized and
 /// indexed once, then mapped rider by rider into that worker's partials.
-/// Then, job by job: plan the bins (weighted mode), hand the partials over
-/// to them, reduce the bins in parallel on the pool, assemble the relation.
+/// Then, job by job: hand the partials over to the reduce shards, reduce
+/// the shards in parallel on the pool, assemble the relation.
 ///
 /// User code is not quarantined here: a panic in any rider's map, combine
 /// or reduce code re-raises on the caller with its original payload once
@@ -223,15 +211,12 @@ pub fn run_merged_observed<J: MapReduceJob>(
         .iter()
         .zip(per_job)
         .map(|(job, (emitted, accs))| {
-            let plan = plan_bins(*job, &accs, nshards, cfg.partition);
-            // The plan may split hot bins past the base width.
-            let nbins = plan.as_ref().map_or(nshards, PartitionPlan::nbins);
-            let (inputs, bin_records) = split_into_bins(*job, accs, plan.as_ref(), nbins);
+            let (inputs, bin_records) = split_into_bins(*job, accs, nshards);
             map_records += emitted;
             shuffle_records += bin_records.iter().sum::<u64>();
             // Each bin's task takes its input by move.
             let inputs: Vec<_> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
-            let parts = pool.broadcast(nbins, &|bin| {
+            let parts = pool.broadcast(nshards, &|bin| {
                 let input = inputs[bin].lock().take().expect("a bin is reduced once");
                 reduce_bin(*job, input)
             });
@@ -312,7 +297,6 @@ mod tests {
         ExecConfig {
             num_threads,
             num_reducers,
-            ..ExecConfig::default()
         }
     }
 

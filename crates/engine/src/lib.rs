@@ -20,16 +20,17 @@
 //!    encodes.
 //!
 //! The execution shape mirrors Hadoop: map workers pull blocks, route
-//! their output to reduce shards by key hash, a fold combiner (if the job
-//! declares one) folds map-side, and reduce workers process the shards.
+//! their output to reduce shards by key hash (the only partitioner;
+//! [`PartitionMode`] keeps one variant), a fold combiner (if the job
+//! declares one) folds map-side, and reduce workers process the shards,
+//! all in memory.
 //! One map core and one reduce core serve the batch front and the server
 //! alike (DESIGN.md, "One map core, one reduce core").
 //!
 //! ## Observability
 //!
 //! Telemetry is an [`Obs`] handle (from the `s3-obs` crate, re-exported
-//! here) given to [`run_merged_observed`], [`run_job_external_observed`],
-//! [`ServerConfig::obs`] or
+//! here) given to [`run_merged_observed`], [`ServerConfig::obs`] or
 //! [`WorkerPool::new_observed`](pool::WorkerPool::new_observed). They
 //! record `engine.*` counters/gauges/histograms into the handle's metrics
 //! registry and spans/instants into its trace recorder, exportable as a
@@ -61,7 +62,6 @@
 
 pub mod arena;
 pub mod exec;
-pub mod external;
 pub(crate) mod fanout;
 pub mod fault;
 pub(crate) mod partition;
@@ -77,10 +77,6 @@ pub use arena::TokenMap;
 pub use exec::{
     run_job, run_job_legacy, run_merged, run_merged_legacy, run_merged_observed, ExecConfig,
     JobOutput, ScanStats,
-};
-pub use external::{
-    run_job_external, run_job_external_observed, run_merged_external,
-    run_merged_external_observed, ExternalConfig, SpillStats,
 };
 pub use fault::{ArmedFaults, EngineChaosConfig, EngineFault, FaultPlan, FtConfig};
 pub use pool::{BlockClaims, WorkProgress, WorkerPool};

@@ -1,28 +1,11 @@
-//! Skew-aware reduce partitioning: the shared key→shard hash, per-worker
-//! key-distribution sketches, and the weighted partition plan built from
-//! them when [`crate::PartitionMode::Weighted`] is enabled.
+//! Reduce partitioning: the one key→shard hash every site routes by.
 //!
-//! The hash path is the classic MapReduce shuffle, with one deliberate
-//! change: shard selection uses the bias-free widening-multiply reduction
+//! This is the classic MapReduce hash shuffle, with one deliberate change:
+//! shard selection uses the bias-free widening-multiply reduction
 //! ([`shard_of_hash`]) instead of `hash % n`, which skews low shards for
-//! non-power-of-two reducer counts. The weighted path observes every
-//! record the combiners push (weight 1 per reduce-input record), keeps the
-//! top-K heaviest key hashes per worker exactly plus an exact residual
-//! total, merges the sketches once the scan is done, and assigns heavy
-//! keys greedily to the least-loaded shard. A shard estimated heavier than
-//! a configurable factor of the mean sheds heavy keys into extra bins, so
-//! the reduce pool can spread an unsplittable-looking hot shard across
-//! idle workers. Light keys keep flowing through [`shard_of_hash`] over
-//! the base shard count, so every key — sketched or not — lands in exactly
-//! one bin.
+//! non-power-of-two reducer counts.
 
-use fxhash::FxHashMap;
 use std::hash::{Hash, Hasher};
-
-/// Heavy hitters tracked per sketch. Plenty for a Zipf head (the ~60k-word
-/// paper corpus concentrates >40% of records in its top 64 words at
-/// s=1.2) while keeping sketch merge O(K log K).
-pub(crate) const SKETCH_TOP_K: usize = 64;
 
 /// Canonical 64-bit key hash used by every partitioning site (identical to
 /// `fxhash::hash64`, spelled out so all call sites share one definition).
@@ -41,200 +24,14 @@ pub(crate) fn shard_of_hash(h: u64, n: usize) -> usize {
     ((h as u128 * n.max(1) as u128) >> 64) as usize
 }
 
-/// An exact-total sketch of one key distribution: the top-K heaviest key
-/// hashes with their exact observed weights, plus the exact total weight
-/// of everything else. Totals are exact under both [`KeySketch::observe`]
-/// and [`KeySketch::merge`]; only the *attribution* of a key that is heavy
-/// in one sketch and light in another degrades (its light share joins the
-/// residual), which costs plan accuracy, never correctness.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct KeySketch {
-    /// Exact per-hash weights while building; pruned to the top K on
-    /// [`KeySketch::finish`] and kept at ≤ 2K between merges.
-    counts: FxHashMap<u64, u64>,
-    /// Weight observed for keys pruned out of `counts`.
-    rest: u64,
-    /// Total observed weight (`counts` sum + `rest`), always exact.
-    total: u64,
-}
-
-impl KeySketch {
-    pub(crate) fn new() -> KeySketch {
-        KeySketch::default()
-    }
-
-    /// Record `weight` reduce-input records for the key hashing to `h`.
-    pub(crate) fn observe(&mut self, h: u64, weight: u64) {
-        *self.counts.entry(h).or_insert(0) += weight;
-        self.total += weight;
-        // Bound the build-side map: prune to the top K when it doubles.
-        if self.counts.len() >= 4 * SKETCH_TOP_K {
-            self.prune(2 * SKETCH_TOP_K);
-        }
-    }
-
-    /// Finish the per-worker build: keep the top-K heaviest hashes, fold
-    /// everything else into the residual.
-    pub(crate) fn finish(mut self) -> KeySketch {
-        self.prune(SKETCH_TOP_K);
-        self
-    }
-
-    /// Merge another sketch into this one. Totals add exactly; the merged
-    /// heavy set is re-pruned to the top K.
-    pub(crate) fn merge(&mut self, other: KeySketch) {
-        for (h, w) in other.counts {
-            *self.counts.entry(h).or_insert(0) += w;
-        }
-        self.rest += other.rest;
-        self.total += other.total;
-        self.prune(SKETCH_TOP_K);
-    }
-
-    fn prune(&mut self, keep: usize) {
-        if self.counts.len() <= keep {
-            return;
-        }
-        let mut entries: Vec<(u64, u64)> = self.counts.drain().collect();
-        // Heaviest first; hash breaks ties so pruning is deterministic.
-        entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for (h, w) in entries.drain(keep..) {
-            let _ = h;
-            self.rest += w;
-        }
-        self.counts.extend(entries);
-    }
-
-    /// Total observed weight (exact).
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Tracked heavy hitters, heaviest first (deterministic order).
-    fn heavy_sorted(&self) -> Vec<(u64, u64)> {
-        let mut heavy: Vec<(u64, u64)> = self.counts.iter().map(|(&h, &w)| (h, w)).collect();
-        heavy.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        heavy
-    }
-}
-
-/// A concrete key→bin routing built from a merged [`KeySketch`]: heavy
-/// hashes carry explicit assignments, every other key routes through
-/// [`shard_of_hash`] over the base shard count. Bins `base_bins..nbins`
-/// exist only when an overweight shard was split; they hold heavy keys
-/// exclusively.
-#[derive(Debug, Clone)]
-pub(crate) struct PartitionPlan {
-    /// Shard count light keys hash over (the reduce pool width).
-    base_bins: usize,
-    /// Estimated weight per bin. Sums exactly to the sketch total.
-    estimates: Vec<u64>,
-    /// Explicit routes for sketched heavy hitters.
-    heavy: FxHashMap<u64, u32>,
-}
-
-impl PartitionPlan {
-    /// Build a plan over `nshards` base bins (clamped to ≥ 1) from a
-    /// merged sketch. `split_factor_x1000` is the split threshold in
-    /// thousandths of the mean bin weight (see
-    /// [`crate::PartitionMode::split_factor_x1000`]).
-    pub(crate) fn build(sketch: &KeySketch, nshards: usize, split_factor_x1000: u64) -> PartitionPlan {
-        let n = nshards.max(1);
-        // Residual (unsketched) weight spreads uniformly over the base
-        // bins; the first `rem` bins absorb the remainder so the estimate
-        // column sums exactly to the observed total.
-        let rest = sketch.rest;
-        let mut estimates: Vec<u64> = (0..n)
-            .map(|b| rest / n as u64 + u64::from((b as u64) < rest % n as u64))
-            .collect();
-        let mut heavy: FxHashMap<u64, u32> = FxHashMap::default();
-        // Per-bin heavy assignments, kept lightest-last for the split pass.
-        let mut bin_heavy: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-
-        // Greedy makespan: heaviest key to the least-loaded bin (lowest
-        // index wins ties, so the plan is a pure function of the sketch).
-        for (h, w) in sketch.heavy_sorted() {
-            let b = (0..n).min_by_key(|&b| (estimates[b], b)).unwrap_or(0);
-            estimates[b] += w;
-            heavy.insert(h, b as u32);
-            bin_heavy[b].push((h, w));
-        }
-
-        // Split pass: a bin estimated heavier than `factor × mean` sheds
-        // heavy keys (lightest first — shave the excess, keep the
-        // unsplittable head in place) into extra bins the reduce pool can
-        // schedule independently. A bin whose weight is one indivisible
-        // key stays as-is: values of one key must reduce together.
-        let total = sketch.total;
-        let mean = total / n as u64;
-        let threshold = (mean.saturating_mul(split_factor_x1000) / 1000).max(mean.max(1));
-        let mut spilled: Vec<(u64, u64)> = Vec::new();
-        for b in 0..n {
-            while estimates[b] > threshold && bin_heavy[b].len() >= 2 {
-                let (h, w) = bin_heavy[b].pop().expect("len >= 2");
-                estimates[b] -= w;
-                spilled.push((h, w));
-            }
-        }
-        // First-fit the spilled keys into extra bins.
-        for (h, w) in spilled {
-            let extra = estimates[n..]
-                .iter()
-                .position(|&e| e.saturating_add(w) <= threshold);
-            let b = match extra {
-                Some(i) => n + i,
-                None => {
-                    estimates.push(0);
-                    estimates.len() - 1
-                }
-            };
-            estimates[b] += w;
-            heavy.insert(h, b as u32);
-        }
-
-        PartitionPlan {
-            base_bins: n,
-            estimates,
-            heavy,
-        }
-    }
-
-    /// Total bins, including split-off extras. Always ≥ 1.
-    pub(crate) fn nbins(&self) -> usize {
-        self.estimates.len()
-    }
-
-    /// Route a key hash: explicit heavy assignment, else bias-free hash
-    /// over the base bins. Total — every hash lands in exactly one bin.
-    pub(crate) fn bin_of_hash(&self, h: u64) -> usize {
-        match self.heavy.get(&h) {
-            Some(&b) => b as usize,
-            None => shard_of_hash(h, self.base_bins),
-        }
-    }
-
-    /// Estimated weight per bin. Sums exactly to the sketch total.
-    pub(crate) fn estimates(&self) -> &[u64] {
-        &self.estimates
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sketch_of(pairs: &[(u64, u64)]) -> KeySketch {
-        let mut s = KeySketch::new();
-        for &(h, w) in pairs {
-            s.observe(h, w);
-        }
-        s.finish()
-    }
-
-    /// Satellite: the hash path's shard assignment is pinned so the switch
-    /// from `% n` to the widening multiply is deliberate and replay-stable.
-    /// Expected values are the widening-multiply outputs for fxhash of
-    /// these strings — any change to the hash or the reduction breaks this.
+    /// The hash path's shard assignment is pinned so the switch from `% n`
+    /// to the widening multiply is deliberate and replay-stable. Expected
+    /// values are the widening-multiply outputs for fxhash of these
+    /// strings — any change to the hash or the reduction breaks this.
     #[test]
     fn hash_shard_assignment_snapshot() {
         let keys = ["apple", "banana", "cherry", "zipf", "s3", ""];
@@ -262,98 +59,5 @@ mod tests {
         }
         // Degenerate clamp: zero shards routes to shard 0, never faults.
         assert_eq!(shard_of_hash(u64::MAX, 0), 0);
-    }
-
-    #[test]
-    fn merge_of_empty_sketches_is_empty() {
-        let mut a = KeySketch::new().finish();
-        a.merge(KeySketch::new().finish());
-        assert_eq!(a.total(), 0);
-        let plan = PartitionPlan::build(&a, 4, 1250);
-        assert_eq!(plan.nbins(), 4);
-        assert_eq!(plan.estimates().iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn single_key_corpus_keeps_one_indivisible_bin() {
-        // Every record is one key: the plan must put all its weight in
-        // exactly one bin and never split it (one key cannot be split).
-        let mut merged = sketch_of(&[(42, 1000)]);
-        merged.merge(sketch_of(&[(42, 500)]));
-        assert_eq!(merged.total(), 1500);
-        let plan = PartitionPlan::build(&merged, 4, 1250);
-        assert_eq!(plan.nbins(), 4);
-        assert_eq!(plan.estimates().iter().sum::<u64>(), 1500);
-        let b = plan.bin_of_hash(42);
-        assert_eq!(plan.estimates()[b], 1500);
-    }
-
-    #[test]
-    fn all_unique_keys_spread_residual_uniformly() {
-        // 10_000 distinct keys, weight 1 each: almost everything prunes
-        // into the residual, which must spread evenly and sum exactly.
-        let mut s = KeySketch::new();
-        for h in 0..10_000u64 {
-            s.observe(h.wrapping_mul(0x9E37_79B9_7F4A_7C15), 1);
-        }
-        let s = s.finish();
-        assert_eq!(s.total(), 10_000);
-        let plan = PartitionPlan::build(&s, 8, 1250);
-        assert_eq!(plan.estimates().iter().sum::<u64>(), 10_000);
-        let (lo, hi) = (
-            *plan.estimates().iter().min().unwrap(),
-            *plan.estimates().iter().max().unwrap(),
-        );
-        // Uniform residual + 64 unit-weight heavies: near-perfect balance.
-        assert!(hi - lo <= 64, "estimates {:?}", plan.estimates());
-    }
-
-    #[test]
-    fn merge_keeps_totals_exact_under_pruning() {
-        // Two sketches with disjoint heavy sets far beyond K: merged total
-        // must equal the exact sum even though most keys fall to residual.
-        let a_pairs: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 2 + 1, i + 1)).collect();
-        let b_pairs: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 2 + 100_000, 2 * i + 1)).collect();
-        let exact: u64 = a_pairs.iter().chain(&b_pairs).map(|&(_, w)| w).sum();
-        let mut merged = sketch_of(&a_pairs);
-        merged.merge(sketch_of(&b_pairs));
-        assert_eq!(merged.total(), exact);
-        let plan = PartitionPlan::build(&merged, 5, 1250);
-        assert_eq!(plan.estimates().iter().sum::<u64>(), exact);
-    }
-
-    #[test]
-    fn oversized_shard_splits_into_extra_bins() {
-        // Five heavy keys on two shards with no residual: greedy packs
-        // [5000+4000+4000, 5000+4000] so bin 0 carries 13000 against a mean
-        // of 11000. With a tight split factor the overweight bin sheds its
-        // lightest key into a fresh bin appended past the base width.
-        let pairs: Vec<(u64, u64)> =
-            [(1u64, 5000u64), (2, 5000), (3, 4000), (4, 4000), (5, 4000)].to_vec();
-        let s = sketch_of(&pairs);
-        let plan = PartitionPlan::build(&s, 2, 1000);
-        assert!(plan.nbins() > 2, "expected split bins, got {}", plan.nbins());
-        assert_eq!(plan.estimates().iter().sum::<u64>(), 22_000);
-        for (b, &e) in plan.estimates().iter().enumerate() {
-            assert!(e <= 11_000, "bin {b} over threshold: {e}");
-        }
-        // Every heavy key still routes to exactly one in-range bin.
-        for (h, _) in pairs {
-            assert!(plan.bin_of_hash(h) < plan.nbins());
-        }
-    }
-
-    #[test]
-    fn plan_routing_is_total_and_deterministic() {
-        let pairs: Vec<(u64, u64)> = (0..200u64).map(|i| (i * 31 + 7, (i % 13) + 1)).collect();
-        let s = sketch_of(&pairs);
-        let p1 = PartitionPlan::build(&s, 6, 1250);
-        let p2 = PartitionPlan::build(&s, 6, 1250);
-        for h in (0..50_000u64).step_by(17) {
-            let b = p1.bin_of_hash(h);
-            assert!(b < p1.nbins());
-            assert_eq!(b, p2.bin_of_hash(h), "plan must be deterministic");
-        }
-        assert_eq!(p1.estimates(), p2.estimates());
     }
 }

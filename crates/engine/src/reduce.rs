@@ -1,10 +1,11 @@
 //! The reduce core shared by every executor: what a worker accumulates for a
-//! job while it scans ([`JobAcc`]), and the four steps that turn the
-//! workers' accumulators into the job's output relation — [`plan_bins`],
+//! job while it scans ([`JobAcc`]), and the three steps that turn the
+//! workers' accumulators into the job's output relation —
 //! [`split_into_bins`], [`reduce_bin`], [`assemble`]. The batch front
 //! (`exec.rs`) calls them in a row; the server (`scan_server.rs`) calls the
-//! same four from its reduce-pool tasks, each under its own `catch_unwind`
-//! (DESIGN.md, "One map core, one reduce core").
+//! same three from its reduce-pool tasks, each under its own `catch_unwind`
+//! (DESIGN.md, "One map core, one reduce core"). A bin is a reduce shard:
+//! keys are routed by [`shard_of_hash`] of their [`key_hash`], nothing else.
 //!
 //! A job without a fold combiner keeps every value, but need not keep a
 //! hot key once per value: its records are grouped where they are emitted,
@@ -13,8 +14,8 @@
 //! pointed at the group. A key seen once costs one entry and no allocation
 //! of its own; a hot key costs one entry however many values it has; a key
 //! that comes back after dropping out of that table opens another group.
-//! Nothing downstream hashes a key again: tables merge and move groups by
-//! the stored hash, and the reduce side joins a key's groups, within a
+//! Nothing downstream hashes a key again: tables merge groups by the
+//! stored hash, and the reduce side joins a key's groups, within a
 //! table and across tables, by *sorting the groups by key*
 //! ([`sort_group_reduce`]), which also leaves the part in the order the
 //! output relation wants. A fold job reaches the reduce side as one value
@@ -27,8 +28,8 @@
 
 use crate::arena::TokenMap;
 use crate::exec::{JobOutput, ScanStats};
-use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
-use crate::types::{MapReduceJob, PartitionMode};
+use crate::partition::{key_hash, shard_of_hash};
+use crate::types::MapReduceJob;
 use fxhash::FxHashMap;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -130,81 +131,28 @@ pub(crate) enum ShardInput<J: MapReduceJob> {
     Grouped(Vec<ShardGroups<J>>),
 }
 
-/// Step 1, [`PartitionMode::Weighted`] only (`None` under `Hash`): sketch
-/// each worker accumulator's combiner-output key distribution (weight =
-/// reduce-input records it will contribute), merge the per-worker sketches,
-/// and build the routing plan over `nshards` base bins. The plan's estimates
-/// sum exactly to the records [`split_into_bins`] will route.
-///
-/// Runs the job's `token_key` and `Hash`, which may panic.
-pub(crate) fn plan_bins<J: MapReduceJob>(
-    job: &J,
-    partials: &[JobAcc<J>],
-    nshards: usize,
-    partition: PartitionMode,
-) -> Option<PartitionPlan> {
-    if !partition.is_weighted() {
-        return None;
-    }
-    let mut merged = KeySketch::new().finish();
-    for acc in partials {
-        let mut s = KeySketch::new();
-        match acc {
-            JobAcc::Fold(m) => {
-                for k in m.keys() {
-                    s.observe(key_hash(k), 1);
-                }
-            }
-            // Hash the *materialized* key — `token_key` may collapse
-            // distinct tokens — so the sketch agrees with the split.
-            JobAcc::Tok(m) => m.for_each(|tok, _| {
-                s.observe(key_hash(&job.token_key(tok)), 1);
-            }),
-            JobAcc::Grouped(shards) => {
-                for (hash, values) in shards.iter().flat_map(Groups::weights) {
-                    s.observe(hash, values);
-                }
-            }
-        }
-        merged.merge(s.finish());
-    }
-    let plan = PartitionPlan::build(&merged, nshards, partition.split_factor_x1000());
-    debug_assert_eq!(plan.estimates().iter().sum::<u64>(), merged.total());
-    Some(plan)
-}
-
-/// Step 2: hand a job's worker accumulators over to its `nbins` reduce bins
-/// (`plan`'s bin count, or the shard count without one). Returns each bin's
-/// reduce input and the reduce-input records routed into it.
+/// Step 1: hand a job's worker accumulators over to its `nbins` reduce bins,
+/// one per reduce shard. Returns each bin's reduce input and the
+/// reduce-input records routed into it.
 ///
 /// Fold and token maps are flushed: one route and one fold-merge per
 /// distinct key per worker. A non-fold job's tables were routed at emit, so
-/// each moves to its bin whole; only under a weighted plan does a worker's
-/// table give up entries — those of the plan's explicitly placed heavy
-/// keys, found by their stored hash. Every other key's plan bin *is* its
-/// emit-time shard.
+/// each moves to its bin whole.
 ///
 /// Runs the job's `combine_fold`, `token_key` and `Hash`, which may panic.
 pub(crate) fn split_into_bins<J: MapReduceJob>(
     job: &J,
     partials: Vec<JobAcc<J>>,
-    plan: Option<&PartitionPlan>,
     nbins: usize,
 ) -> (Vec<ShardInput<J>>, Vec<u64>) {
     let mut bin_records = vec![0u64; nbins];
     // A job's partials are all of one kind, the one `JobAcc::for_job` picks
     // from the same flag.
     let bins = if job.combine_is_fold() {
-        // The weighted plan routes heavy keys explicitly; the hash path
-        // uses the bias-free reduction over the base shard count.
-        let route = |k: &J::K| match plan {
-            Some(p) => p.bin_of_hash(key_hash(k)),
-            None => shard_of_hash(key_hash(k), nbins),
-        };
         let mut folded: Vec<FxHashMap<J::K, J::V>> = (0..nbins).map(|_| FxHashMap::default()).collect();
         // Fold-merges the values of keys seen by several workers.
         let mut flush = |k: J::K, v: J::V| {
-            let b = route(&k);
+            let b = shard_of_hash(key_hash(&k), nbins);
             bin_records[b] += 1;
             fold_into(job, &mut folded[b], k, v);
         };
@@ -221,10 +169,7 @@ pub(crate) fn split_into_bins<J: MapReduceJob>(
     } else {
         let mut bins: Vec<Vec<ShardGroups<J>>> = (0..nbins).map(|_| Vec::new()).collect();
         for acc in partials {
-            let JobAcc::Grouped(mut worker) = acc else { continue };
-            if let Some(plan) = plan {
-                reroute(&mut worker, nbins, |hash| plan.bin_of_hash(hash));
-            }
+            let JobAcc::Grouped(worker) = acc else { continue };
             // Worker by worker, so a bin's tables stay in worker order.
             for ((bin, n), table) in bins.iter_mut().zip(&mut bin_records).zip(worker) {
                 *n += table.records();
@@ -236,7 +181,7 @@ pub(crate) fn split_into_bins<J: MapReduceJob>(
     (bins, bin_records)
 }
 
-/// Step 3, once per bin and in parallel across bins: combine and reduce one
+/// Step 2, once per bin and in parallel across bins: combine and reduce one
 /// bin's input into its part, sorted by key.
 ///
 /// Runs the job's `combine` and `reduce`, which may panic.
@@ -249,7 +194,7 @@ pub(crate) fn reduce_bin<J: MapReduceJob>(job: &J, input: ShardInput<J>) -> Redu
     part
 }
 
-/// Step 4: build the output relation from the bins' parts. Each part is
+/// Step 3: build the output relation from the bins' parts. Each part is
 /// sorted and the parts hold disjoint key sets (split by key hash), so the
 /// concatenation is a duplicate-free sequence of sorted runs: `from_iter`'s
 /// stable sort merges them, then bulk-builds. `stats` arrives with its
@@ -386,11 +331,6 @@ impl<K: Eq, V> Groups<K, V> {
         self.records
     }
 
-    /// `(key hash, values held)` of every group.
-    pub(crate) fn weights(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.groups.iter().map(|g| (g.hash, g.group.len()))
-    }
-
     /// Move every group of `later` in behind this table's values of the
     /// same key: one table operation per group of `later`.
     pub(crate) fn append(&mut self, later: Groups<K, V>) {
@@ -430,30 +370,6 @@ impl<K: Eq, V> Groups<K, V> {
         *set = [Recent { tag, group }, set[0]];
     }
 
-    /// Take out the groups whose key hash `leaves`.
-    fn take_where(&mut self, mut leaves: impl FnMut(u64) -> bool) -> Vec<KeyGroup<K, V>> {
-        let taken: Vec<_> = self.groups.extract_if(.., |g| leaves(g.hash)).collect();
-        if !taken.is_empty() {
-            self.records -= taken.iter().map(|g| g.group.len()).sum::<u64>();
-            // The groups behind the taken ones were renumbered.
-            self.recent = Vec::new();
-        }
-        taken
-    }
-}
-
-/// Spread one worker's shard tables over a plan's bins: a key whose
-/// `bin_of(hash)` is not the table it sits in — under a weighted plan, only
-/// the explicitly placed heavy keys — moves, with its values, to the table
-/// of its bin. `tables` grows to `nbins`.
-fn reroute<K: Eq, V>(tables: &mut Vec<Groups<K, V>>, nbins: usize, bin_of: impl Fn(u64) -> usize) {
-    let homes = tables.len();
-    tables.resize_with(nbins.max(homes), Groups::new);
-    for home in 0..homes {
-        for g in tables[home].take_where(|hash| bin_of(hash) != home) {
-            tables[bin_of(g.hash)].insert(g);
-        }
-    }
 }
 
 /// Reduce a non-fold job's shard. `tables` hold the shard's records as
@@ -564,7 +480,7 @@ mod tests {
         persistent.append(table(&[("b", 4), ("c", 5), ("b", 6)]));
         persistent.append(Groups::new());
         assert_eq!(persistent.records(), 6);
-        let mut weights: Vec<u64> = persistent.weights().map(|(_, n)| n).collect();
+        let mut weights: Vec<u64> = persistent.groups.iter().map(|g| g.group.len()).collect();
         weights.sort_unstable();
         assert_eq!(weights, vec![1, 2, 3]);
         let mut out = Vec::new();
@@ -604,7 +520,7 @@ mod tests {
         assert_eq!(table.records(), 300);
         let keys: Vec<u32> = table.groups.iter().map(|g| g.key).collect();
         assert_eq!(keys, (0..100).rev().collect::<Vec<_>>());
-        assert!(table.weights().all(|(_, values)| values == 3));
+        assert!(table.groups.iter().all(|g| g.group.len() == 3));
 
         // More keys than the sets hold: a key that dropped out opens a new group,
         // every record is kept, and the reduce side sees each key whole,
@@ -632,17 +548,6 @@ mod tests {
         let mut out = Vec::new();
         sort_group_reduce(&All, [table], &mut out);
         assert_eq!(out, (0..keys).map(|k| (k, vec![0, 1, 2])).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reroute_moves_whole_groups_and_their_counts() {
-                let heavy = key_hash(&"a".to_string());
-        let mut tables = vec![table(&[("a", 1), ("b", 2), ("a", 3), ("c", 4)]), Groups::new()];
-        reroute(&mut tables, 3, |h| if h == heavy { 2 } else { 0 });
-        let counts: Vec<u64> = tables.iter().map(Groups::records).collect();
-        assert_eq!(counts, vec![2, 0, 2]);
-        let moved: Vec<(u64, u64)> = tables[2].weights().collect();
-        assert_eq!(moved, vec![(heavy, 2)]);
     }
 
     #[test]

@@ -75,10 +75,9 @@
 use crate::exec::ScanStats;
 use crate::fanout::{scan_block_for_job, RiderIndex, Selection};
 use crate::fault::{ArmedFaults, FaultPlan, FtConfig};
-use crate::partition::PartitionPlan;
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
 use crate::reduce::{
-    assemble, plan_bins, reduce_bin, split_into_bins, JobAcc, JobPartial, ReducedPart, ShardInput,
+    assemble, reduce_bin, split_into_bins, JobAcc, JobPartial, ReducedPart, ShardInput,
 };
 use crate::store::BlockStore;
 use crate::types::{JobError, JobResult, MapReduceJob, PartitionMode};
@@ -141,16 +140,14 @@ struct ServerObs {
     /// Submit → output published.
     job_latency: Arc<Histogram>,
     /// Duration of the one-time hand-over of a job's accumulated state to
-    /// its reduce bins: the flush of fold and token maps, and under a
-    /// weighted plan the move of heavy keys (non-fold tables are routed at
-    /// emit and cost nothing here). Phase-global work, kept out of
-    /// `reduce_shard` so that histogram shows only per-shard reduce cost
-    /// (the skew signal) instead of whichever task drew the hand-over.
+    /// its reduce bins: the flush of fold and token maps (non-fold tables
+    /// are routed at emit and cost nothing here). Phase-global work, kept
+    /// out of `reduce_shard` so that histogram shows only per-shard reduce
+    /// cost (the skew signal) instead of whichever task drew the hand-over.
     shard_split: Arc<Histogram>,
     /// Duration of one reduce-pool finalization shard.
     reduce_shard: Arc<Histogram>,
-    /// Records reduced by one finalization shard — the skew signal the
-    /// weighted partitioner flattens.
+    /// Records reduced by one finalization shard — the skew signal.
     reduce_shard_records: Arc<Histogram>,
     /// Duration of a completed job's serial tail, on the last shard task:
     /// concatenate the parts, build the output tree, wake the handle.
@@ -531,9 +528,10 @@ pub struct ServerConfig {
     /// lifetime. Ignored unless [`obs`](ServerConfig::obs) is on; see
     /// [`SharedScanServer::metrics_addr`] for the resolved address.
     pub metrics_addr: Option<String>,
-    /// How finalization routes keys to reduce shards:
-    /// [`PartitionMode::Hash`] (default, bit-compatible) or
-    /// [`PartitionMode::Weighted`] (skew-aware, sketch-driven).
+    /// Not read: finalization always routes keys to reduce shards by hash.
+    /// Kept, with [`PartitionMode`] and its one variant, so configurations
+    /// that set it — the benchmark harness's `partition` probe among them —
+    /// still build.
     pub partition: PartitionMode,
 }
 
@@ -597,8 +595,6 @@ struct ServerShared<J: MapReduceJob> {
     ft: FtConfig,
     /// Injected faults, armed for this server's lifetime.
     faults: Option<Arc<ArmedFaults>>,
-    /// How finalization routes keys to reduce shards.
-    partition: PartitionMode,
     /// Reduce shards per job: the reduce pool's width, which matches the
     /// scan pool's. Fixed here, at construction, because non-fold jobs
     /// route every emitted record to its shard during the scan.
@@ -694,7 +690,6 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
             blocks_assisted: AtomicU64::new(0),
             ft: config.ft,
             faults: config.faults.as_ref().map(|p| p.arm()),
-            partition: config.partition,
             nshards: num_threads,
             ewma_block_us: AtomicU64::new(0),
             misses: (0..num_threads).map(|_| AtomicU32::new(0)).collect(),
@@ -1885,9 +1880,6 @@ struct FinishCtx<J: MapReduceJob> {
     completion: Completion<J::K, J::Out>,
     failure: Arc<JobFailure>,
     faults: Option<Arc<ArmedFaults>>,
-    /// Weighted routing plan, merged from the workers' key sketches at
-    /// finish time. `None` runs the hash path.
-    plan: Option<PartitionPlan>,
     state: Mutex<FinishState<J>>,
     remaining: AtomicUsize,
     stats: ScanStats,
@@ -1907,8 +1899,8 @@ struct FinishState<J: MapReduceJob> {
 }
 
 /// Collect the finished job's worker partials (cheap: map and table moves, no
-/// record touches; Weighted sketching visits each key a worker holds) and queue its combine+reduce
-/// on the reduce pool, sharded by key hash. The coordinator returns to
+/// record touches) and queue its combine+reduce on the reduce pool, one task
+/// per reduce shard, sharded by key hash. The coordinator returns to
 /// scanning immediately; the last shard task to finish publishes the result
 /// and wakes the handle.
 fn finish_job<J: MapReduceJob + 'static>(
@@ -1953,29 +1945,7 @@ fn finish_job<J: MapReduceJob + 'static>(
         }
     }
 
-    let nshards = shared.nshards;
-
-    // Planning runs the job's `token_key` and `Hash`, here on the
-    // coordinator: a panic in either fails this job, not the server. The
-    // shards still run, unplanned, and the last one publishes the failure.
-    let plan = catch_unwind(AssertUnwindSafe(|| {
-        plan_bins(&*job.job, &partials, nshards, shared.partition)
-    }))
-    .unwrap_or_else(|p| {
-        job.failure.record(p);
-        None
-    });
-    if let (Some(o), Some(p)) = (&obs, &plan) {
-        // One instant per bin: shard index in its id field, estimated
-        // weight in `n`. check_engine_events sums these against the
-        // `reduce_shard` record counts.
-        for (b, &w) in p.estimates().iter().enumerate() {
-            o.tracer()
-                .instant("partition_plan", Ids::job(job.id).shard(b as u64).jobs(w));
-        }
-    }
-    let nbins = plan.as_ref().map_or(nshards, PartitionPlan::nbins);
-
+    let nbins = shared.nshards;
     let ctx = Arc::new(FinishCtx {
         job: job.job,
         job_id: job.id,
@@ -1983,7 +1953,6 @@ fn finish_job<J: MapReduceJob + 'static>(
         completion: job.completion,
         failure: job.failure,
         faults: shared.faults.clone(),
-        plan,
         state: Mutex::new(FinishState {
             sharded: false,
             partials,
@@ -2000,9 +1969,6 @@ fn finish_job<J: MapReduceJob + 'static>(
         },
         obs,
     });
-    // Split bins past the pool width simply queue: the reduce pool drains
-    // bins in submission order, so extras land on whichever worker frees
-    // up first — exactly the idle-worker spreading the split is for.
     for s in 0..nbins {
         let ctx = Arc::clone(&ctx);
         reduce_pool.execute(move || run_finish_shard(ctx, s, nbins));
@@ -2023,7 +1989,7 @@ fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nbins: usize) -
         return false;
     }
     let partials = std::mem::take(&mut st.partials);
-    let (buckets, bin_records) = split_into_bins(&*ctx.job, partials, ctx.plan.as_ref(), nbins);
+    let (buckets, bin_records) = split_into_bins(&*ctx.job, partials, nbins);
     st.buckets = buckets.into_iter().map(Some).collect();
     st.bin_records = bin_records;
     st.sharded = true;

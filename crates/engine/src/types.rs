@@ -60,60 +60,23 @@ impl QosClass {
 
 /// How reduce shards are assigned to intermediate keys.
 ///
-/// [`PartitionMode::Hash`] (the default) is the classic MapReduce shuffle:
-/// shard = bias-free hash of the key — oblivious to the key distribution,
-/// so a Zipf-skewed corpus hot-spots the shard that draws the head of the
-/// distribution and the whole job waits on it.
-///
-/// [`PartitionMode::Weighted`] samples the combiner-output key
-/// distribution during the scan (a per-worker top-K sketch over data that
-/// already streams through the fold combiners and `TokenMap` arenas),
-/// merges the sketches when the job finishes its revolution, and builds a
-/// weighted partition plan that equalizes estimated records-per-shard —
-/// splitting any shard whose estimated weight exceeds a configurable
-/// factor of the mean across extra reduce-pool tasks. Outputs are
-/// record-identical to hash partitioning in every mode: shards hold
-/// disjoint key sets and the publisher sorts the concatenation into one
-/// ordered relation.
+/// There is one way: [`PartitionMode::Hash`], the classic MapReduce
+/// shuffle the paper assumes — shard = bias-free hash of the key,
+/// oblivious to the key distribution. A skew-aware planner once stood
+/// beside it and never shortened a job's wall time (EXPERIMENTS.md,
+/// "Skew-aware reduce partitioning").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PartitionMode {
-    /// Distribution-oblivious hash sharding (default, bit-compatible with
-    /// prior releases).
+    /// Distribution-oblivious hash sharding.
     #[default]
     Hash,
-    /// Skew-aware weighted sharding from a sampled key distribution.
-    Weighted {
-        /// Split threshold in thousandths of the mean shard weight: a
-        /// shard estimated heavier than `split_factor_x1000 / 1000 ×
-        /// mean` sheds heavy keys into extra reduce tasks. `0` selects
-        /// the default factor (1250 = 1.25 × mean).
-        split_factor_x1000: u32,
-    },
 }
 
 impl PartitionMode {
-    /// [`PartitionMode::Weighted`] with the default split factor.
+    /// [`PartitionMode::Hash`]. The name is kept so code written against
+    /// the retired skew-aware mode still builds; it routes exactly as hash.
     pub fn weighted() -> PartitionMode {
-        PartitionMode::Weighted {
-            split_factor_x1000: 0,
-        }
-    }
-
-    /// Whether this mode builds a weighted partition plan.
-    pub fn is_weighted(self) -> bool {
-        matches!(self, PartitionMode::Weighted { .. })
-    }
-
-    /// The resolved split threshold in thousandths of the mean shard
-    /// weight (1250 unless overridden).
-    pub fn split_factor_x1000(self) -> u64 {
-        match self {
-            PartitionMode::Hash => 1250,
-            PartitionMode::Weighted {
-                split_factor_x1000: 0,
-            } => 1250,
-            PartitionMode::Weighted { split_factor_x1000 } => split_factor_x1000 as u64,
-        }
+        PartitionMode::Hash
     }
 }
 
@@ -293,11 +256,10 @@ pub trait MapReduceJob: Send + Sync {
     /// Optional combiner: fold a run of values for one key into a smaller
     /// run. Defaults to the identity (no combining).
     ///
-    /// As in MapReduce, the engine decides where and how often it runs: per
-    /// sorted spill on the map side of the external executors, and once per
-    /// key on the reduce side of every executor, over the concatenation of
-    /// what any earlier applications returned — so a key's values may pass
-    /// through `combine` more than once. The output must not depend on
+    /// As in MapReduce, the engine decides where and how often it runs
+    /// (today: once per key, on the reduce side), and may pass a key's
+    /// values through `combine` more than once, over the concatenation of
+    /// what earlier applications returned. The output must not depend on
     /// that: `reduce(k, combine(k, a ++ b))` has to equal
     /// `reduce(k, combine(k, combine(k, a) ++ combine(k, b)))`.
     fn combine(&self, _key: &Self::K, values: Vec<Self::V>) -> Vec<Self::V> {
@@ -381,8 +343,7 @@ pub trait MapReduceJob: Send + Sync {
     /// kernel also runs the job on every rejected token and panics
     /// (failing that job alone on a server) if one emits. Release builds do
     /// not pay for the check and **silently drop** those records. The
-    /// reference ([`crate::run_job_legacy`]) and the external executors
-    /// never consult the prefix.
+    /// reference ([`crate::run_job_legacy`]) never consults the prefix.
     fn token_prefix(&self) -> &[u8] {
         b""
     }

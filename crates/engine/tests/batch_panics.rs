@@ -7,7 +7,7 @@
 
 use s3_engine::{
     run_job, run_merged_legacy, run_merged_observed, BlockStore, ExecConfig, MapReduceJob, Obs,
-    PartitionMode, WorkerPool,
+    WorkerPool,
 };
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 
@@ -137,26 +137,23 @@ fn payload_of<T>(f: impl FnOnce() -> T) -> Box<dyn std::any::Any + Send> {
 fn check(site: Site) {
     let store = store();
     assert!(store.num_blocks() >= 12);
-    let tight = PartitionMode::Weighted { split_factor_x1000: 1000 };
     for threads in [1, 3] {
-        for partition in [PartitionMode::Hash, tight] {
-            let cfg = ExecConfig { num_threads: threads, num_reducers: 3, partition };
-            let mode = format!("{site:?}, {threads} threads, {partition:?}");
-            let pool = WorkerPool::new(threads);
-            let riders = [Rider::healthy(Shape::Identity), Rider::armed(site), Rider::healthy(Shape::Line)];
-            let refs: Vec<&Rider> = riders.iter().collect();
-            let payload = payload_of(|| run_merged_observed(&pool, &refs, &store, &cfg, &Obs::off()));
-            assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(site)), "run_merged: {mode}");
-            let payload = payload_of(|| run_job(&riders[1], &store, &cfg));
-            assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(site)), "run_job: {mode}");
+        let cfg = ExecConfig { num_threads: threads, num_reducers: 3 };
+        let mode = format!("{site:?}, {threads} threads");
+        let pool = WorkerPool::new(threads);
+        let riders = [Rider::healthy(Shape::Identity), Rider::armed(site), Rider::healthy(Shape::Line)];
+        let refs: Vec<&Rider> = riders.iter().collect();
+        let payload = payload_of(|| run_merged_observed(&pool, &refs, &store, &cfg, &Obs::off()));
+        assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(site)), "run_merged: {mode}");
+        let payload = payload_of(|| run_job(&riders[1], &store, &cfg));
+        assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(site)), "run_job: {mode}");
 
-            // The pool that carried the panic runs the next batch whole.
-            let riders = [Rider::healthy(Shape::Token), Rider::healthy(Shape::Line), Rider::healthy(Shape::Identity)];
-            let refs: Vec<&Rider> = riders.iter().collect();
-            let after = run_merged_observed(&pool, &refs, &store, &cfg, &Obs::off());
-            assert_eq!(after, run_merged_legacy(&refs, &store), "after the panic: {mode}");
-            assert_eq!(pool.threads_spawned(), threads as u64);
-        }
+        // The pool that carried the panic runs the next batch whole.
+        let riders = [Rider::healthy(Shape::Token), Rider::healthy(Shape::Line), Rider::healthy(Shape::Identity)];
+        let refs: Vec<&Rider> = riders.iter().collect();
+        let after = run_merged_observed(&pool, &refs, &store, &cfg, &Obs::off());
+        assert_eq!(after, run_merged_legacy(&refs, &store), "after the panic: {mode}");
+        assert_eq!(pool.threads_spawned(), threads as u64);
     }
 }
 
@@ -221,7 +218,7 @@ fn a_lying_token_prefix_reaches_the_caller() {
         }
     }
     let store = store();
-    let cfg = ExecConfig { num_threads: 2, num_reducers: 3, ..ExecConfig::default() };
+    let cfg = ExecConfig { num_threads: 2, num_reducers: 3 };
     let pool = WorkerPool::new(2);
     let riders = [Liar { lies: false }, Liar { lies: true }, Liar { lies: false }];
     let refs: Vec<&Liar> = riders.iter().collect();

@@ -60,7 +60,6 @@ fn run_job_scans_invalid_utf8_byte_for_byte() {
     let cfg = ExecConfig {
         num_threads: 2,
         num_reducers: 2,
-    ..ExecConfig::default()
     };
     let out = run_job(&ByteTokenCount, &s, &cfg);
     // Tokens with invalid bytes arrive intact — no replacement characters.
@@ -98,7 +97,6 @@ fn shared_scan_server_serves_invalid_utf8_stores() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 2,
-        ..ExecConfig::default()
         },
     );
     let server = SharedScanServer::with_config(s, ServerConfig::new(2, 2));
@@ -116,7 +114,6 @@ fn from_bytes_round_trips_an_invalid_corpus() {
     let cfg = ExecConfig {
         num_threads: 4,
         num_reducers: 2,
-    ..ExecConfig::default()
     };
     let out = run_job(&ByteTokenCount, &s, &cfg);
     assert_eq!(out.stats.bytes_scanned as usize, s.total_bytes());

@@ -7,7 +7,7 @@
 //! typed front door that reports the bad shape as a [`ConfigError`]
 //! instead of ever constructing it.
 
-use s3_engine::{run_job, BlockStore, ConfigError, ExecConfig, MapReduceJob, PartitionMode};
+use s3_engine::{run_job, BlockStore, ConfigError, ExecConfig, MapReduceJob};
 
 /// Plain word count.
 struct Count;
@@ -56,9 +56,7 @@ fn try_new_accepts_positive_shape() {
 }
 
 /// A hand-built zero-reducer config no longer divides by zero: every
-/// entry point clamps to one shard and the output is exact. Checked in
-/// both partition modes — the weighted planner must tolerate the clamp
-/// too.
+/// entry point clamps to one shard and the output is exact.
 #[test]
 fn zero_reducers_clamps_to_one_shard() {
     let store = BlockStore::from_text("a b b c c c\n", 4);
@@ -67,14 +65,11 @@ fn zero_reducers_clamps_to_one_shard() {
         &store,
         &ExecConfig::try_new(2, 1).expect("valid shape"),
     );
-    for partition in [PartitionMode::Hash, PartitionMode::weighted()] {
-        let cfg = ExecConfig {
-            num_threads: 2,
-            num_reducers: 0,
-            partition,
-        };
-        let out = run_job(&Count, &store, &cfg);
-        assert_eq!(out.records, reference.records, "{partition:?}");
-        assert_eq!(out.records.get("c"), Some(&3));
-    }
+    let cfg = ExecConfig {
+        num_threads: 2,
+        num_reducers: 0,
+    };
+    let out = run_job(&Count, &store, &cfg);
+    assert_eq!(out.records, reference.records);
+    assert_eq!(out.records.get("c"), Some(&3));
 }

@@ -67,7 +67,6 @@ fn solo(prefix: &str, s: &BlockStore) -> std::collections::BTreeMap<String, i64>
         &ExecConfig {
             num_threads: 1,
             num_reducers: 4,
-        ..ExecConfig::default()
         },
     )
     .records
@@ -242,7 +241,6 @@ fn warm_deadline_prevents_cold_start_speculation() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 2,
-        ..ExecConfig::default()
         },
     )
     .records;

@@ -14,9 +14,8 @@
 
 use proptest::prelude::*;
 use s3_engine::{
-    run_job, run_job_external, run_job_legacy, run_merged, run_merged_external,
-    run_merged_legacy, AdaptiveConfig, BlockStore, ExecConfig, ExternalConfig, FtConfig, JobError,
-    MapReduceJob, PartitionMode, ServerConfig, SharedScanServer,
+    run_job, run_job_legacy, run_merged, run_merged_legacy, AdaptiveConfig, BlockStore, ExecConfig,
+    FtConfig, JobError, MapReduceJob, ServerConfig, SharedScanServer,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -128,7 +127,7 @@ proptest! {
         prefix in prop::sample::select(vec!["", "a", "ab", "c"]),
     ) {
         let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
         for job in job_variants(prefix) {
             prop_assert_eq!(run_job(&job, &store, &cfg), run_job_legacy(&job, &store),
                 "fold={} token={} identity={}", job.fold, job.token, job.identity);
@@ -147,7 +146,7 @@ proptest! {
         let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
         let jobs = job_variants("a");
         let refs: Vec<&Wc> = jobs.iter().collect();
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
         let merged = run_merged(&refs, &store, &cfg);
         let reference = run_merged_legacy(&refs, &store);
         for ((m, r), job) in merged.iter().zip(&reference).zip(&jobs) {
@@ -380,8 +379,8 @@ proptest! {
 
     /// The indexed kernel equals the unindexed reference — records and
     /// `emitted` — for arbitrary ASCII bytes, block cuts, patterns, rider
-    /// shapes and 1 / 8 / 65+ riders, on `run_merged`, `run_job`, both
-    /// server scan loops, and the external executors.
+    /// shapes and 1 / 8 / 65+ riders, on `run_merged`, `run_job` and both
+    /// server scan loops.
     #[test]
     fn indexed_fan_out_equals_the_reference(
         codes in prop::collection::vec(any::<u8>(), 1..400),
@@ -395,7 +394,7 @@ proptest! {
         let store = cut_store(&corpus, &cuts, block_bytes);
         let jobs = riders(&corpus, &picks[..num_riders]);
         let refs: Vec<&Pat> = jobs.iter().collect();
-        let cfg = ExecConfig { num_threads: threads, num_reducers: 3, ..ExecConfig::default() };
+        let cfg = ExecConfig { num_threads: threads, num_reducers: 3 };
 
         let oracle = run_merged_legacy(&refs, &store);
         let merged = run_merged(&refs, &store, &cfg);
@@ -411,19 +410,11 @@ proptest! {
                 prop_assert_eq!(k.stats.map_output_records, l.stats.map_output_records);
             }
         }
-        // One job at a time on the single-job and spilling executors.
-        let ext = ExternalConfig { exec: cfg.clone(), spill_records: 16, tmp_dir: None };
+        // One job at a time on the single-job front.
         for (job, l) in jobs.iter().zip(&oracle).take(4) {
             let solo = run_job(job, &store, &cfg);
             prop_assert_eq!(&solo.records, &l.records, "run_job {:?}", job);
             prop_assert_eq!(solo.stats.map_output_records, l.stats.map_output_records);
-            let (spilled, _) = run_job_external(job, &store, &ext).expect("spill dir");
-            prop_assert_eq!(&spilled.records, &l.records, "external {:?}", job);
-        }
-        let few: Vec<&Pat> = refs.iter().copied().take(4).collect();
-        let (spilled, _) = run_merged_external(&few, &store, &ext).expect("spill dir");
-        for (k, l) in spilled.iter().zip(&oracle) {
-            prop_assert_eq!(&k.records, &l.records, "merged external");
         }
     }
 
@@ -440,7 +431,7 @@ proptest! {
         let store = cut_store(&bytes, &cuts, 16);
         let jobs = riders(&bytes, &picks);
         let refs: Vec<&Pat> = jobs.iter().collect();
-        let cfg = ExecConfig { num_threads: 2, num_reducers: 2, ..ExecConfig::default() };
+        let cfg = ExecConfig { num_threads: 2, num_reducers: 2 };
         let merged = run_merged(&refs, &store, &cfg);
         for (job, out) in jobs.iter().zip(&merged) {
             let mut want: BTreeMap<String, i64> = BTreeMap::new();
@@ -469,11 +460,8 @@ fn staggered_server_outputs(
     store: &BlockStore,
     jobs: &[Pat],
     threads: usize,
-    partition: PartitionMode,
 ) -> Vec<s3_engine::JobOutput<String, i64>> {
-    let mut cfg = ServerConfig::new(2, threads);
-    cfg.partition = partition;
-    let server = SharedScanServer::with_config(store.clone(), cfg);
+    let server = SharedScanServer::with_config(store.clone(), ServerConfig::new(2, threads));
     let handles: Vec<_> = jobs
         .iter()
         .map(|job| {
@@ -495,8 +483,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// One core, three fronts: for ASCII and raw high bytes, arbitrary block
-    /// cuts, all five rider shapes, 1 / 8 / 70 riders, both partitioners and
-    /// any thread and reducer count, `run_merged` equals the reference in
+    /// cuts, all five rider shapes, 1 / 8 / 70 riders, and any thread and
+    /// reducer count, `run_merged` equals the reference in
     /// records and in every stat, `run_job` is `run_merged` of one, and a
     /// staggered server revolution of the same riders equals both.
     #[test]
@@ -511,7 +499,6 @@ proptest! {
         num_riders in prop::sample::select(vec![1usize, 8, 70]),
         threads in prop::sample::select(vec![1usize, 2, 4]),
         num_reducers in prop::sample::select(vec![1usize, 3, 8]),
-        weighted in any::<bool>(),
     ) {
         let store = cut_store(&bytes, &cuts, block_bytes);
         // ASCII patterns only: an arena rider matches raw bytes, the others
@@ -539,16 +526,11 @@ proptest! {
             })
             .collect();
         let refs: Vec<&Pat> = jobs.iter().collect();
-        let partition = if weighted {
-            PartitionMode::Weighted { split_factor_x1000: 1000 }
-        } else {
-            PartitionMode::Hash
-        };
-        let cfg = ExecConfig { num_threads: threads, num_reducers, partition };
+        let cfg = ExecConfig { num_threads: threads, num_reducers };
 
         let reference = run_merged_legacy(&refs, &store);
         let merged = run_merged(&refs, &store, &cfg);
-        let served = staggered_server_outputs(&store, &jobs, threads, partition);
+        let served = staggered_server_outputs(&store, &jobs, threads);
         for (i, job) in jobs.iter().enumerate() {
             prop_assert_eq!(&merged[i], &reference[i], "run_merged {:?}", job);
             prop_assert_eq!(&served[i], &reference[i], "server {:?}", job);

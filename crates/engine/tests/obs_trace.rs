@@ -156,7 +156,6 @@ fn observed_batch_records_phase_spans_and_counters() {
         &s3_engine::ExecConfig {
             num_threads: 2,
             num_reducers: 4,
-        ..s3_engine::ExecConfig::default()
         },
         &obs,
     )
@@ -170,26 +169,4 @@ fn observed_batch_records_phase_spans_and_counters() {
     let events = obs.core().expect("on").tracer.drain();
     assert_eq!(named(&events, "map_phase").len(), 1);
     assert_eq!(named(&events, "reduce_phase").len(), 1);
-}
-
-#[test]
-fn observed_external_run_counts_shuffle_bytes() {
-    let obs = Obs::new();
-    let s = store();
-    let cfg = s3_engine::ExternalConfig {
-        exec: s3_engine::ExecConfig {
-            num_threads: 2,
-            num_reducers: 4,
-        ..s3_engine::ExecConfig::default()
-        },
-        spill_records: 64,
-        tmp_dir: None,
-    };
-    let (_, spills) = s3_engine::run_job_external_observed(&Count, &s, &cfg, &obs).expect("io");
-    let snap = obs.snapshot().expect("on");
-    assert_eq!(snap.counters["engine.shuffle_bytes"], spills.spill_bytes);
-    assert_eq!(snap.counters["engine.spill_runs"], spills.spills);
-    let events = obs.core().expect("on").tracer.drain();
-    assert_eq!(named(&events, "spill").len() as u64, spills.spills);
-    assert_eq!(named(&events, "merge_partition").len(), 4);
 }

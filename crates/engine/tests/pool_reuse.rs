@@ -97,7 +97,6 @@ fn outputs_identical_across_thread_counts() {
                 &ExecConfig {
                     num_threads: 1,
                     num_reducers: 4,
-                ..ExecConfig::default()
                 },
             )
         })
@@ -107,7 +106,6 @@ fn outputs_identical_across_thread_counts() {
         let cfg = ExecConfig {
             num_threads: threads,
             num_reducers: 4,
-        ..ExecConfig::default()
         };
         // run_job
         for (p, base) in prefixes.iter().zip(&reference) {
@@ -235,7 +233,6 @@ fn chaos_rapid_create_submit_shutdown_never_hangs_or_loses_outputs() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 2,
-        ..ExecConfig::default()
         },
     );
     for seed in 0u64..150 {
@@ -267,7 +264,6 @@ fn shutdown_drains_every_queued_finalization() {
         &ExecConfig {
             num_threads: 2,
             num_reducers: 4,
-        ..ExecConfig::default()
         },
     );
     let server = SharedScanServer::new(s, 1, 2);

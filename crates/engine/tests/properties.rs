@@ -103,7 +103,7 @@ proptest! {
         let store = BlockStore::from_text(&text, block_bytes);
         let jobs: Vec<Prefix> = prefixes.into_iter().map(Prefix).collect();
         let refs: Vec<&Prefix> = jobs.iter().collect();
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
         let merged = run_merged(&refs, &store, &cfg);
         for (job, m) in jobs.iter().zip(&merged) {
             let solo = run_job(job, &store, &cfg);
@@ -122,7 +122,7 @@ proptest! {
         reducers in 1usize..9,
     ) {
         let store = BlockStore::from_text(&text, block_bytes);
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
         let out = run_job(&Prefix(String::new()), &store, &cfg);
         let counted: i64 = out.records.values().sum();
         let expected = text.split_whitespace().count() as i64;
@@ -138,30 +138,6 @@ proptest! {
         prop_assert_eq!(rejoined, text.into_bytes());
     }
 
-    /// The external (spilling) engine matches the in-memory engine for any
-    /// corpus, blocking, spill-buffer size, and parallelism.
-    #[test]
-    fn external_equals_in_memory(
-        text in corpus(),
-        block_bytes in 8usize..256,
-        spill_records in 1usize..64,
-        threads in 1usize..4,
-        reducers in 1usize..6,
-    ) {
-        use s3_engine::{run_job_external, ExternalConfig};
-        let store = BlockStore::from_text(&text, block_bytes);
-        let job = Prefix("a".into());
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
-        let reference = run_job(&job, &store, &cfg);
-        let (out, _) = run_job_external(&job, &store, &ExternalConfig {
-            exec: cfg,
-            spill_records,
-            tmp_dir: None,
-        }).expect("spill io");
-        prop_assert_eq!(out.records, reference.records);
-        prop_assert_eq!(out.stats.map_output_records, reference.stats.map_output_records);
-    }
-
     /// The fold-combiner / per-token fast paths compute exactly what the
     /// buffered paths compute, solo and in merged batches that mix
     /// streamed and buffered jobs.
@@ -175,7 +151,7 @@ proptest! {
         reducers in 1usize..9,
     ) {
         let store = BlockStore::from_text(&text, block_bytes);
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
         // Two flag bits per job, unpacked from one sampled integer.
         let flex: Vec<FlexPrefix> = prefixes
             .iter()
@@ -222,7 +198,7 @@ proptest! {
         use s3_engine::{AdaptiveConfig, Obs, ServerConfig, SharedScanServer};
         use std::time::Duration;
         let store = BlockStore::from_text(&text, block_bytes);
-        let cfg = ExecConfig { num_threads: 1, num_reducers: 3 ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: 1, num_reducers: 3 };
         let refs: Vec<_> = prefixes
             .iter()
             .map(|p| run_job(&Prefix(p.clone()), &store, &cfg).records)
@@ -285,7 +261,7 @@ proptest! {
         let store = BlockStore::from_text(&text, block_bytes);
         let n = store.num_blocks();
         let bps = [1, 3.min(n.max(1)), n.max(1), n + 7][bps_sel];
-        let cfg = ExecConfig { num_threads: 1, num_reducers: 3 ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: 1, num_reducers: 3 };
         let refs: Vec<_> = prefixes
             .iter()
             .map(|p| run_job(&Prefix(p.clone()), &store, &cfg).records)
@@ -328,7 +304,7 @@ proptest! {
     #[test]
     fn filtered_output_is_contained(text in corpus(), p in word()) {
         let store = BlockStore::from_text(&text, 64);
-        let cfg = ExecConfig { num_threads: 2, num_reducers: 3 ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: 2, num_reducers: 3 };
         let all = run_job(&Prefix(String::new()), &store, &cfg);
         let filtered = run_job(&Prefix(p), &store, &cfg);
         for (k, v) in &filtered.records {

@@ -2,8 +2,9 @@
 //! and on the batch front that shares its core: records are routed to their
 //! reduce shard and grouped by key at emit (one hash per record, a hot key
 //! held once per worker), the shard stable-sorts the groups by key, and the
-//! published relation equals the reference's — on both scan loops, under
-//! hash and weighted partitioning, at any thread count and block cut.
+//! published relation equals the reference's — on both scan loops, at any
+//! thread count and block cut. Hash is the only partitioner;
+//! `PartitionMode::weighted()` is an alias for it and routes identically.
 
 use proptest::prelude::*;
 use s3_engine::{
@@ -45,16 +46,16 @@ impl MapReduceJob for LineWeight {
     }
 }
 
-/// The scan loops and partitioners a server can be built with.
+/// The row of [`server_modes`] built with the retired skew-aware mode's name.
+const ALIAS: &str = "cooperative/weighted-alias";
+
+/// The scan loops a server can be built with, plus one row that still sets
+/// `PartitionMode::weighted()`, which must route exactly as hash.
 fn server_modes() -> Vec<(&'static str, FtConfig, PartitionMode)> {
-    // A split factor of 1.0 x mean sheds heavy keys into bins past the pool
-    // width whenever one shard is above the mean.
-    let tight = PartitionMode::Weighted { split_factor_x1000: 1000 };
     vec![
         ("cooperative/hash", FtConfig::default(), PartitionMode::Hash),
-        ("cooperative/weighted", FtConfig::default(), tight),
         ("resilient/hash", FtConfig::resilient(), PartitionMode::Hash),
-        ("resilient/weighted", FtConfig::resilient(), tight),
+        (ALIAS, FtConfig::default(), PartitionMode::weighted()),
     ]
 }
 
@@ -132,8 +133,8 @@ proptest! {
 }
 
 /// 2640 records over five keys weighing 600, 600, 480, 480 and 480: no
-/// assignment of whole keys balances two or four shards, so a weighted plan
-/// with a tight split factor has to shed a key into an extra bin.
+/// assignment of whole keys balances two or four shards, so some shard
+/// always reduces more than its share.
 fn repeated_text() -> String {
     let cycle = "hot warm cold mild cool\n".repeat(4) + "hot warm\n";
     cycle.repeat(120)
@@ -204,14 +205,10 @@ impl MapReduceJob for CountedWords {
 
 /// `run_job` of one [`CountedWords`] rider, or `run_merged` of several, on
 /// two threads and three reduce shards: each rider with its output.
-fn counted_batch(
-    store: &BlockStore,
-    riders: usize,
-    partition: PartitionMode,
-) -> Vec<(CountedWords, JobOutput<CountedKey, i64>)> {
+fn counted_batch(store: &BlockStore, riders: usize) -> Vec<(CountedWords, JobOutput<CountedKey, i64>)> {
     let jobs: Vec<CountedWords> = (0..riders).map(|_| CountedWords::new()).collect();
     let refs: Vec<&CountedWords> = jobs.iter().collect();
-    let cfg = ExecConfig { num_threads: 2, num_reducers: 3, partition };
+    let cfg = ExecConfig { num_threads: 2, num_reducers: 3 };
     let outs = match refs[..] {
         [job] => vec![run_job(job, store, &cfg)],
         _ => run_merged(&refs, store, &cfg),
@@ -221,24 +218,23 @@ fn counted_batch(
 
 /// The design in one number: a non-fold job's record is hashed when it is
 /// emitted, to pick its reduce shard and its group there, and never again —
-/// not by the resilient loop's merge, not by the weighted plan's sketch or
-/// its heavy-key move, not at finish, not to group, not to publish. Two of
+/// not by the resilient loop's merge, not at finish, not to group, not to
+/// publish. Two of
 /// every three keys are unique, the shape on which grouping in hash maps
 /// cost three hashes a record and their resizes.
 #[test]
 fn a_non_fold_record_is_hashed_exactly_once() {
     let text: String = (0..600).map(|i| format!("u{i} v{i} hot\n")).collect();
     let store = BlockStore::from_text(&text, 512);
-    let tight = PartitionMode::Weighted { split_factor_x1000: 1000 };
-    for (ft, threads, partition) in [
-        (FtConfig::default(), 2, PartitionMode::Hash),
-        (FtConfig::default(), 2, tight),
-        (FtConfig::resilient(), 1, PartitionMode::Hash),
-        (FtConfig::resilient(), 2, PartitionMode::Hash),
+    for (ft, threads) in [
+        (FtConfig::default(), 2),
+        (FtConfig::resilient(), 1),
+        (FtConfig::resilient(), 2),
     ] {
         let job = CountedWords::new();
         let hashes = Arc::clone(&job.hashes);
-        let server = SharedScanServer::with_config(store.clone(), server_config(3, threads, &ft, partition));
+        let server =
+            SharedScanServer::with_config(store.clone(), server_config(3, threads, &ft, PartitionMode::Hash));
         let out = server.submit(job).wait().expect("job completes");
         server.shutdown();
         let records = out.stats.map_output_records;
@@ -256,23 +252,21 @@ fn a_non_fold_record_is_hashed_exactly_once() {
         } else {
             assert_eq!(
                 hashed, records,
-                "speculation {} {partition:?}: one hash per emitted record",
+                "speculation {}: one hash per emitted record",
                 ft.speculation
             );
         }
     }
     // The batch front runs the same core: nothing between emit and output
     // hashes a record again, for a solo job or for each of three riders.
-    for partition in [PartitionMode::Hash, tight] {
-        for riders in [1, 3] {
-            for (job, out) in counted_batch(&store, riders, partition) {
-                assert_eq!((out.stats.map_output_records, out.records.len()), (1800, 1201));
-                assert_eq!(
-                    job.hashes.load(Ordering::Relaxed),
-                    1800,
-                    "{riders} riders {partition:?}: one hash per emitted record"
-                );
-            }
+    for riders in [1, 3] {
+        for (job, out) in counted_batch(&store, riders) {
+            assert_eq!((out.stats.map_output_records, out.records.len()), (1800, 1201));
+            assert_eq!(
+                job.hashes.load(Ordering::Relaxed),
+                1800,
+                "{riders} riders: one hash per emitted record"
+            );
         }
     }
 }
@@ -299,17 +293,14 @@ fn hot_keys_are_ordered_once_per_worker_not_once_per_record() {
             "{mode}: {compared} key compares for 5 keys on 2 workers ({records} records)"
         );
     }
-    let tight = PartitionMode::Weighted { split_factor_x1000: 1000 };
-    for partition in [PartitionMode::Hash, tight] {
-        for riders in [1, 3] {
-            for (job, out) in counted_batch(&store, riders, partition) {
-                assert_eq!((out.stats.map_output_records, out.records.len()), (2640, 5));
-                let compared = job.compares.load(Ordering::Relaxed);
-                assert!(
-                    compared < 2640 / 10,
-                    "{riders} riders {partition:?}: {compared} key compares for 5 keys on 2 workers"
-                );
-            }
+    for riders in [1, 3] {
+        for (job, out) in counted_batch(&store, riders) {
+            assert_eq!((out.stats.map_output_records, out.records.len()), (2640, 5));
+            let compared = job.compares.load(Ordering::Relaxed);
+            assert!(
+                compared < 2640 / 10,
+                "{riders} riders: {compared} key compares for 5 keys on 2 workers"
+            );
         }
     }
 }
@@ -375,12 +366,13 @@ fn a_keys_values_reach_combine_in_worker_then_emission_order() {
                     .unwrap_or_else(|e| panic!("{mode} threads {threads}: {e}"));
                 server.shutdown();
                 assert_eq!(out.records, counts, "{mode} threads {threads}");
-                if skewed && partition.is_weighted() && threads > 1 {
-                    // No whole-key assignment is balanced, so the tight split
-                    // must have planned bins past the pool width.
+                if skewed && mode == ALIAS && threads > 1 {
+                    // No whole-key assignment is balanced, yet the alias plans
+                    // nothing: one hash-routed reduce shard per pool worker.
                     let events = obs.core().expect("obs is on").tracer.drain();
-                    let bins = events.iter().filter(|e| e.name == "partition_plan").count();
-                    assert!(bins > threads, "{mode} threads {threads}: {bins} bins planned");
+                    let named = |name: &str| events.iter().filter(|e| e.name == name).count();
+                    assert_eq!(named("partition_plan"), 0, "{mode} threads {threads}: a plan was built");
+                    assert_eq!(named("reduce_shard"), threads, "{mode} threads {threads}: reduce shards");
                 }
             }
         }

@@ -842,95 +842,21 @@ pub fn check_engine_events(events: &[ObsEvent]) -> Vec<Violation> {
         }
     }
 
-    // Weighted-partition invariants. `partition_plan` instants carry one
-    // bin each (shard index in its dedicated id field, estimated weight in
-    // `n`); `reduce_shard` spans carry the shard index plus the records it
-    // reduced. Per job: shard ids must be unique in both streams (the old
+    // Reduce-shard uniqueness. `reduce_shard` spans carry the shard index in
+    // its dedicated id field; per job, each shard runs at most once (the old
     // encoding that packed shards into shared fields made concurrent jobs
-    // ambiguous), and for a completed job with a plan the plan's weights
-    // must sum to the records its shards actually reduced — i.e. every
-    // record the plan routed landed in exactly one shard, none dropped,
-    // none duplicated.
-    #[derive(Default)]
-    struct PartView {
-        plan_bins: BTreeSet<u64>,
-        plan_weight: u64,
-        shard_bins: BTreeSet<u64>,
-        shard_records: u64,
-    }
-    let mut partitions: BTreeMap<u64, PartView> = BTreeMap::new();
+    // ambiguous).
+    let mut shards_run: BTreeSet<(u64, u64)> = BTreeSet::new();
     for e in events {
-        match e.name {
-            "partition_plan" => {
-                if e.ids.job == NO_ID || e.ids.shard == NO_ID || e.ids.n == NO_ID {
-                    out.push(Violation {
-                        invariant: "engine-partition-plan",
-                        at: at(e.ts_us),
-                        detail: "partition_plan instant missing job/shard/weight ids".into(),
-                    });
-                    continue;
-                }
-                let v = partitions.entry(e.ids.job).or_default();
-                if !v.plan_bins.insert(e.ids.shard) {
-                    out.push(Violation {
-                        invariant: "engine-partition-plan",
-                        at: at(e.ts_us),
-                        detail: format!(
-                            "job {} plans bin {} twice",
-                            e.ids.job, e.ids.shard
-                        ),
-                    });
-                }
-                v.plan_weight += e.ids.n;
-            }
-            "reduce_shard" if e.ids.job != NO_ID && e.ids.shard != NO_ID => {
-                let v = partitions.entry(e.ids.job).or_default();
-                if !v.shard_bins.insert(e.ids.shard) {
-                    out.push(Violation {
-                        invariant: "engine-partition-plan",
-                        at: at(e.ts_us),
-                        detail: format!(
-                            "job {} ran reduce shard {} twice",
-                            e.ids.job, e.ids.shard
-                        ),
-                    });
-                }
-                if e.ids.n != NO_ID {
-                    v.shard_records += e.ids.n;
-                }
-            }
-            _ => {}
-        }
-    }
-    for (id, v) in &partitions {
-        if v.plan_bins.is_empty() {
-            continue; // hash-mode job: no plan to reconcile
-        }
-        // Only completed jobs reconcile exactly — a quarantined shard may
-        // have panicked before routing its records.
-        let completed = jobs.get(id).is_some_and(|j| j.done > 0);
-        if !completed {
-            continue;
-        }
-        if v.shard_bins != v.plan_bins {
+        if e.name == "reduce_shard"
+            && e.ids.job != NO_ID
+            && e.ids.shard != NO_ID
+            && !shards_run.insert((e.ids.job, e.ids.shard))
+        {
             out.push(Violation {
-                invariant: "engine-partition-plan",
-                at: SimTime::ZERO,
-                detail: format!(
-                    "job {id}: planned bins {:?} but reduce shards ran {:?}",
-                    v.plan_bins, v.shard_bins
-                ),
-            });
-        }
-        if v.shard_records != v.plan_weight {
-            out.push(Violation {
-                invariant: "engine-partition-plan",
-                at: SimTime::ZERO,
-                detail: format!(
-                    "job {id}: plan weighs {} records but reduce shards reduced {}: \
-                     every routed record must land in exactly one shard",
-                    v.plan_weight, v.shard_records
-                ),
+                invariant: "engine-reduce-shard",
+                at: at(e.ts_us),
+                detail: format!("job {} ran reduce shard {} twice", e.ids.job, e.ids.shard),
             });
         }
     }
@@ -1377,34 +1303,6 @@ mod tests {
             }
         }
 
-        /// A `partition_plan` instant: one planned bin with its estimated
-        /// weight.
-        fn plan(ts_us: u64, job: u64, bin: u64, weight: u64) -> Event {
-            ev(ts_us, "partition_plan", Ids::job(job).shard(bin).jobs(weight))
-        }
-
-        #[test]
-        fn weighted_plan_reconciles_with_reduce_shards() {
-            // Two concurrent jobs, interleaved shards, both plans balance.
-            let events = vec![
-                ev(0, "submit", Ids::job(0)),
-                ev(1, "submit", Ids::job(1)),
-                ev(2, "admit", Ids::job(0).jobs(0)),
-                ev(2, "admit", Ids::job(1).jobs(0)),
-                plan(10, 0, 0, 7),
-                plan(10, 0, 1, 5),
-                plan(11, 1, 0, 3),
-                plan(11, 1, 1, 9),
-                shard(12, 0, 0, 7),
-                shard(13, 1, 0, 3),
-                shard(14, 1, 1, 9),
-                shard(15, 0, 1, 5),
-                ev(20, "job_done", Ids::job(0)),
-                ev(21, "job_done", Ids::job(1)),
-            ];
-            assert_eq!(check_engine_events(&events), vec![]);
-        }
-
         #[test]
         fn duplicate_shard_id_is_flagged() {
             let events = vec![
@@ -1416,63 +1314,10 @@ mod tests {
             ];
             let v = check_engine_events(&events);
             assert!(
-                v.iter().any(|v| v.invariant == "engine-partition-plan"
+                v.iter().any(|v| v.invariant == "engine-reduce-shard"
                     && v.detail.contains("shard 0 twice")),
                 "{v:?}"
             );
-        }
-
-        #[test]
-        fn plan_weight_mismatch_is_flagged() {
-            // The plan claims 12 records but the shards only reduced 10:
-            // somewhere a routed record vanished.
-            let events = vec![
-                ev(0, "submit", Ids::job(0)),
-                ev(1, "admit", Ids::job(0).jobs(0)),
-                plan(2, 0, 0, 6),
-                plan(2, 0, 1, 6),
-                shard(3, 0, 0, 6),
-                shard(4, 0, 1, 4),
-                ev(9, "job_done", Ids::job(0)),
-            ];
-            let v = check_engine_events(&events);
-            assert!(
-                v.iter().any(|v| v.invariant == "engine-partition-plan"
-                    && v.detail.contains("plan weighs 12")),
-                "{v:?}"
-            );
-        }
-
-        #[test]
-        fn planned_bin_without_a_shard_is_flagged() {
-            let events = vec![
-                ev(0, "submit", Ids::job(0)),
-                ev(1, "admit", Ids::job(0).jobs(0)),
-                plan(2, 0, 0, 5),
-                plan(2, 0, 1, 5),
-                shard(3, 0, 0, 10),
-                ev(9, "job_done", Ids::job(0)),
-            ];
-            let v = check_engine_events(&events);
-            assert!(
-                v.iter().any(|v| v.invariant == "engine-partition-plan"
-                    && v.detail.contains("planned bins")),
-                "{v:?}"
-            );
-        }
-
-        #[test]
-        fn quarantined_job_skips_plan_reconciliation() {
-            // A reduce shard panicked before routing: counts won't add up,
-            // and must not be flagged — the quarantine already covers it.
-            let events = vec![
-                ev(0, "submit", Ids::job(0)),
-                ev(1, "admit", Ids::job(0).jobs(0)),
-                plan(2, 0, 0, 12),
-                shard(3, 0, 0, 0),
-                ev(9, "quarantine", Ids::job(0)),
-            ];
-            assert_eq!(check_engine_events(&events), vec![]);
         }
 
         #[test]

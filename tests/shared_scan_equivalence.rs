@@ -4,8 +4,8 @@
 //! reducer configurations.
 
 use s3_engine::{
-    run_job, run_merged, run_merged_legacy, BlockStore, ExecConfig, FtConfig, Obs, PartitionMode,
-    ServerConfig, SharedScanServer,
+    run_job, run_merged, run_merged_legacy, BlockStore, ExecConfig, FtConfig, Obs, ServerConfig,
+    SharedScanServer,
 };
 use s3_mapreduce::check_engine_events;
 use s3_obs::JobJournal;
@@ -51,7 +51,6 @@ fn ten_wordcount_jobs_share_one_scan_losslessly() {
     let cfg = ExecConfig {
         num_threads: 4,
         num_reducers: 7,
-    ..ExecConfig::default()
     };
     let refs: Vec<&PatternWordCount> = jobs.iter().collect();
     let merged = run_merged(&refs, &store, &cfg);
@@ -102,7 +101,6 @@ fn equivalence_is_configuration_independent() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 1,
-        ..ExecConfig::default()
         },
     );
     for threads in [2, 8] {
@@ -110,7 +108,6 @@ fn equivalence_is_configuration_independent() {
             let cfg = ExecConfig {
                 num_threads: threads,
                 num_reducers: reducers,
-            ..ExecConfig::default()
             };
             let solo = run_job(&job, &store, &cfg);
             assert_eq!(solo.records, reference.records, "solo {threads}x{reducers}");
@@ -164,7 +161,7 @@ fn pattern_riders_equal_the_unindexed_oracle() {
     // Two-letter prefixes: the generator's 60 most frequent words are its
     // 60 leading syllables.
     pool.extend((0..60).map(|rank| PatternWordCount::prefix(gen.word(rank))));
-    let cfg = ExecConfig { num_threads: 2, num_reducers: 3, ..ExecConfig::default() };
+    let cfg = ExecConfig { num_threads: 2, num_reducers: 3 };
     for riders in [1, 8, pool.len()] {
         assert!(riders == 1 || riders == 8 || riders > 64);
         // The last `riders` of the pool first, so that 1 and 8 riders are
@@ -199,7 +196,6 @@ fn pattern_riders_equal_the_unindexed_oracle() {
 /// riders (non-fold, line-based, every key unique) over rows some of which
 /// raw high bytes have damaged, at block cuts that fall mid-row, 1, 8 and 70
 /// of them. `run_merged` equals the reference in records and in every stat
-/// under hash and weighted partitioning (split factor 1.0, the tightest),
 /// at 1, 2 and 4 threads and 1, 3 and 8 reducers; `run_job` is `run_merged`
 /// of one; and on the live server the same riders, staggered so that later
 /// ones join mid-revolution and wrap, equal both on both scan loops, with
@@ -210,7 +206,6 @@ fn selection_riders_equal_the_reference_on_every_front() {
     for (i, byte) in text.iter_mut().enumerate().filter(|(i, _)| i % 1013 == 0) {
         *byte = [0x80, 0xc3, 0xff][i % 3];
     }
-    let tight = PartitionMode::Weighted { split_factor_x1000: 1000 };
     for (riders, block_bytes) in [(1, 8 << 10), (8, 1_000), (8, 8 << 10), (8, 37_123), (70, 37_123)] {
         let jobs: Vec<SelectionJob> = (0..riders)
             .map(|i| SelectionJob { quantity_threshold: 5 + (i * 40 / riders) as u32 })
@@ -220,53 +215,50 @@ fn selection_riders_equal_the_reference_on_every_front() {
         let oracle = run_merged_legacy(&refs, &store);
         assert!(oracle.windows(2).all(|w| w[1].records.len() <= w[0].records.len()));
         assert!(oracle.iter().all(|o| !o.records.is_empty()));
-        for partition in [PartitionMode::Hash, tight] {
-            for threads in [1, 2, 4] {
-                for num_reducers in [1, 3, 8] {
-                    let mode = format!("{riders} riders, {block_bytes}-byte blocks, {partition:?}, {threads} threads, {num_reducers} reducers");
-                    let cfg = ExecConfig { num_threads: threads, num_reducers, partition };
-                    let merged = run_merged(&refs, &store, &cfg);
-                    assert!(merged == oracle, "run_merged: {mode}");
-                    let last = refs[riders - 1];
-                    assert!(run_job(last, &store, &cfg) == merged[riders - 1], "run_job: {mode}");
-                    assert!(run_merged(&[last], &store, &cfg)[0] == merged[riders - 1], "run_merged of one: {mode}");
+        for threads in [1, 2, 4] {
+            for num_reducers in [1, 3, 8] {
+                let mode = format!("{riders} riders, {block_bytes}-byte blocks, {threads} threads, {num_reducers} reducers");
+                let cfg = ExecConfig { num_threads: threads, num_reducers };
+                let merged = run_merged(&refs, &store, &cfg);
+                assert!(merged == oracle, "run_merged: {mode}");
+                let last = refs[riders - 1];
+                assert!(run_job(last, &store, &cfg) == merged[riders - 1], "run_job: {mode}");
+                assert!(run_merged(&[last], &store, &cfg)[0] == merged[riders - 1], "run_merged of one: {mode}");
+            }
+            for ft in [FtConfig::default(), FtConfig::resilient()] {
+                let mode = format!(
+                    "{riders} riders, {block_bytes}-byte blocks, speculation {}, {threads} threads",
+                    ft.speculation
+                );
+                let obs = Obs::new();
+                let mut cfg = ServerConfig::new(4, threads);
+                cfg.ft = ft;
+                cfg.obs = obs.clone();
+                let server = SharedScanServer::with_config(store.clone(), cfg);
+                let handles: Vec<_> = jobs
+                    .iter()
+                    .map(|job| {
+                        // One segment apart, or 2 ms if the scan went idle.
+                        let seen = server.iterations();
+                        let handle = server.submit(job.clone());
+                        let t0 = std::time::Instant::now();
+                        while server.iterations() == seen && t0.elapsed().as_millis() < 2 {
+                            std::thread::yield_now();
+                        }
+                        handle
+                    })
+                    .collect();
+                for ((h, want), job) in handles.into_iter().zip(&oracle).zip(&jobs) {
+                    let out = h.wait().expect("job completes");
+                    assert!(out == *want, "{mode}: threshold {}", job.quantity_threshold);
                 }
-                for ft in [FtConfig::default(), FtConfig::resilient()] {
-                    let mode = format!(
-                        "{riders} riders, {block_bytes}-byte blocks, speculation {}, {partition:?}, {threads} threads",
-                        ft.speculation
-                    );
-                    let obs = Obs::new();
-                    let mut cfg = ServerConfig::new(4, threads);
-                    cfg.ft = ft;
-                    cfg.partition = partition;
-                    cfg.obs = obs.clone();
-                    let server = SharedScanServer::with_config(store.clone(), cfg);
-                    let handles: Vec<_> = jobs
-                        .iter()
-                        .map(|job| {
-                            // One segment apart, or 2 ms if the scan went idle.
-                            let seen = server.iterations();
-                            let handle = server.submit(job.clone());
-                            let t0 = std::time::Instant::now();
-                            while server.iterations() == seen && t0.elapsed().as_millis() < 2 {
-                                std::thread::yield_now();
-                            }
-                            handle
-                        })
-                        .collect();
-                    for ((h, want), job) in handles.into_iter().zip(&oracle).zip(&jobs) {
-                        let out = h.wait().expect("job completes");
-                        assert!(out == *want, "{mode}: threshold {}", job.quantity_threshold);
-                    }
-                    server.shutdown();
-                    let core = obs.core().expect("obs is on");
-                    let events = core.tracer.drain();
-                    assert_eq!(core.tracer.dropped(), 0, "{mode}: the run fits the ring");
-                    let violations = check_engine_events(&events);
-                    assert!(violations.is_empty(), "{mode}: {violations:?}");
-                    JobJournal::from_events(&events).validate().unwrap_or_else(|e| panic!("{mode}: {e}"));
-                }
+                server.shutdown();
+                let core = obs.core().expect("obs is on");
+                let events = core.tracer.drain();
+                assert_eq!(core.tracer.dropped(), 0, "{mode}: the run fits the ring");
+                let violations = check_engine_events(&events);
+                assert!(violations.is_empty(), "{mode}: {violations:?}");
+                JobJournal::from_events(&events).validate().unwrap_or_else(|e| panic!("{mode}: {e}"));
             }
         }
     }
