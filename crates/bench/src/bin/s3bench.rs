@@ -2,7 +2,9 @@
 //!
 //! Measures the real engine's three headline numbers on this machine and
 //! writes them to `BENCH_engine.json` next to an embedded pre-recorded
-//! baseline, so every PR has a perf trajectory to compare against:
+//! baseline, so every PR has a perf trajectory to compare against. It
+//! replaces only the sections it writes; the `slo` and `service` sections
+//! that `s3load` adds to the same file are kept:
 //!
 //! - **single_job_ms** — one `run_job` pass over the corpus;
 //! - **shared_scan_bps1_ms** — a `SharedScanServer` revolution serving 4
@@ -606,7 +608,19 @@ fn main() {
         },
         "metrics": metrics,
     });
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
+    // Replace only the sections this run owns: `s3load` read-modify-writes
+    // its `slo` and `service` sections into the same file.
+    let mut merged = std::fs::read_to_string(&out_path)
+        .ok()
+        .and_then(|t| serde_json::from_str(&t).ok())
+        .filter(|v| matches!(v, serde_json::Value::Object(_)))
+        .unwrap_or(serde_json::Value::Null);
+    if let serde_json::Value::Object(sections) = report {
+        for (key, value) in sections {
+            merged[key.as_str()] = value;
+        }
+    }
+    let text = serde_json::to_string_pretty(&merged).expect("report serializes");
     std::fs::write(&out_path, text + "\n").expect("write BENCH_engine.json");
     eprintln!("s3bench: wrote {out_path}");
 }

@@ -350,7 +350,7 @@ mod tests {
         // there must intern under the same key as the same bytes mid-buffer.
         let hay = b"abc tail   abc   wordlong8 tail abc";
         let mut spans = Vec::new();
-        memchr::for_each_token(hay, |t| spans.push((t.as_ptr() as usize - hay.as_ptr() as usize, t.len())));
+        memchr::for_each_token_start(hay, None, |s| spans.push((s, memchr::token_end(hay, s) - s)));
         for &(start, len) in &spans {
             let tok = &hay[start..start + len];
             let want = if len >= 8 { key8(&tok[..8]) } else { key8(tok) };
@@ -361,7 +361,9 @@ mod tests {
             m.upsert_span(hay, start, len, 1i64, |a, n| *a += n);
         }
         let mut by_slice = TokenMap::new();
-        memchr::for_each_token(hay, |t| by_slice.upsert_within(hay, t, 1i64, |a, n| *a += n));
+        for t in memchr::tokens(hay) {
+            by_slice.upsert_within(hay, t, 1i64, |a, n| *a += n);
+        }
         let mut got = BTreeMap::new();
         m.drain_into(|tok, v| {
             got.insert(tok.to_vec(), v);

@@ -1,6 +1,6 @@
-//! The shared scan's inner loop: one tokenization and one predicate lookup
-//! per token for **all** co-riding jobs, so that rider N+1 pays for the
-//! tokens it could match, not for another pass over every token.
+//! The shared scan's inner loop: one token-start scan and one predicate
+//! lookup per start for **all** co-riding jobs, so that rider N+1 pays for
+//! the tokens it could match, not for another pass over every token.
 //!
 //! A [`RiderIndex`] is built over the per-token jobs of one shared scan
 //! (one segment of a server, one batch run) from the
@@ -9,10 +9,13 @@
 //! the entries a token's leading bytes select yields the riders whose
 //! prefix the token starts with. Mapping a block is then two phases:
 //!
-//! 1. [`RiderIndex::select`] tokenizes the block once into `(offset, len)`
-//!    spans and appends each to the selection vector of every candidate
-//!    rider — a load, one lookup per indexed position and a test per token,
-//!    whatever the number of riders (one more such pass per 64 of them);
+//! 1. [`RiderIndex::select`] finds the block's token starts once and
+//!    appends each start's `(offset, len)` span to the selection vector of
+//!    every candidate rider — a load, one lookup per indexed position and a
+//!    test per start, whatever the number of riders (one more such pass per
+//!    64 of them). A token's end is found only when some rider takes it,
+//!    and when the riders' prefixes begin with few distinct bytes, starts
+//!    with any other first byte are dropped inside the start scan;
 //! 2. [`RiderIndex::map_rider`], once per rider, confirms each candidate
 //!    with the job's own map code and folds what it emits.
 //!
@@ -38,6 +41,20 @@ type Span = (usize, usize);
 /// [`load8`] holds.
 const MAX_DEPTH: usize = 8;
 
+/// The most distinct prefix first bytes for which [`RiderIndex::select`]
+/// filters token starts by first byte inside the start scan: each byte of
+/// the set costs one 16-byte compare per group, paid on every group.
+///
+/// Measured on `select` alone (32 MiB of the benchmark's Zipf text in
+/// 64 KiB blocks, one thread, nine interleaved repeats, two runs), as a
+/// fraction of the time of tokenizing every token and looking each up:
+/// one pool prefix 0.36–0.60 (median 0.42), 2 riders 0.75, 4 riders
+/// 0.91–0.92; with the filter off, 8 riders 1.08–1.09 and 16 riders
+/// 1.09–1.11. Forcing the filter on over the 8 riders' 8 first bytes read
+/// 1.26–1.33 — past four, the compares cost more than the lookups they
+/// save (EXPERIMENTS.md, "Select by token start").
+const MAX_FIRST_BYTES: usize = 4;
+
 /// How one rider of the scan gets its tokens.
 #[derive(Clone, Copy)]
 enum Route {
@@ -62,13 +79,22 @@ pub(crate) struct RiderIndex {
     /// `[word][position][byte]`: bit `n % 64` of word `n / 64` is set iff
     /// slot `n`'s prefix has that byte at that position or ends before it.
     tables: Vec<[u64; 256]>,
+    /// Some rider has a [`Route::Every`].
+    every_rides: bool,
+    /// The distinct first bytes of the slots' prefixes, when no rider is
+    /// [`Route::Every`] and there are at most [`MAX_FIRST_BYTES`] of them:
+    /// a token starting with any other byte is no rider's candidate.
+    first: Option<Vec<u8>>,
 }
 
 /// Per-worker scratch of [`RiderIndex::select`], reused from block to block.
 #[derive(Default)]
 pub(crate) struct Selection {
-    /// Every token of the block, in block order: what prefix-less riders
-    /// map, and what the slot lookup walks.
+    /// The offsets of the block's token starts the index may take, in
+    /// block order.
+    starts: Vec<usize>,
+    /// Every token of the block, in block order, when a prefix-less rider
+    /// rides (what it maps); empty otherwise.
     every: Vec<Span>,
     /// Candidate tokens per slot, in block order.
     slots: Vec<Vec<Span>>,
@@ -132,52 +158,76 @@ impl RiderIndex {
                 }
             }
         }
+        let every_rides = routes.iter().any(|r| matches!(r, Route::Every));
+        let mut first: Vec<u8> = prefixes.iter().map(|p| p[0]).collect();
+        first.sort_unstable();
+        first.dedup();
+        let first = (!every_rides && first.len() <= MAX_FIRST_BYTES).then_some(first);
         RiderIndex {
             routes,
             slots,
             depth,
             tables,
+            every_rides,
+            first,
         }
     }
 
-    /// Phase 1: tokenize `block` once (`\n`/`\r` are whitespace, so block
-    /// tokens == every line's tokens concatenated) and hand each token to
-    /// the riders whose prefix it starts with.
+    /// Phase 1: find the block's token starts once (`\n`/`\r` are
+    /// whitespace, so block tokens == every line's tokens concatenated) and
+    /// hand each token to the riders whose prefix it starts with.
     ///
-    /// The lookup reads the 8 bytes at the token's start as they are, not
-    /// cut to its length: past a token shorter than the indexed depth comes
+    /// When the riders' prefixes begin with at most [`MAX_FIRST_BYTES`]
+    /// distinct bytes, the start scan drops every start with another first
+    /// byte, so those tokens are never looked up. At each start that is
+    /// left, the lookup reads the 8 bytes there as they are, not cut to the
+    /// token's length: past a token shorter than the indexed depth comes
     /// whitespace (or [`load8`]'s zero padding at the block's end), which
     /// only a prefix that ended earlier — or one no token can start with —
-    /// accepts.
+    /// accepts. A token's end is found only when some rider takes it (or
+    /// for every token, when a prefix-less rider rides).
+    ///
+    /// The starts are collected into a vector and then looked up, not
+    /// looked up inside the scan's callback: the fused form measured slower
+    /// in 38 of 40 cases, by 7 % in the median (EXPERIMENTS.md, "Select by
+    /// token start").
     pub(crate) fn select(&self, block: &[u8], sel: &mut Selection) {
-        let Selection { every, slots } = sel;
+        let Selection {
+            starts,
+            every,
+            slots,
+        } = sel;
+        starts.clear();
         every.clear();
         slots.resize_with(self.slots, Vec::new);
         slots.iter_mut().for_each(Vec::clear);
-        if self.routes.iter().all(|r| matches!(r, Route::Line)) {
+        if self.slots == 0 && !self.every_rides {
             return;
         }
-        let base = block.as_ptr() as usize;
-        memchr::for_each_token(block, |token| {
-            every.push((token.as_ptr() as usize - base, token.len()));
-        });
-        // One pass over the tokens per 64 riders keeps the loop to a load,
+        memchr::for_each_token_start(block, self.first.as_deref(), |start| starts.push(start));
+        if self.every_rides {
+            every.extend(starts.iter().map(|&s| (s, memchr::token_end(block, s) - s)));
+        }
+        // One pass over the starts per 64 riders keeps the loop to a load,
         // `depth` lookups and a test.
         for (positions, slots) in self
             .tables
             .chunks_exact(self.depth)
             .zip(slots.chunks_mut(64))
         {
-            for &span in every.iter() {
-                let mut bytes = load8(block, span.0);
+            for &start in starts.iter() {
+                let mut bytes = load8(block, start);
                 let mut mask = u64::MAX;
                 for table in positions {
                     mask &= table[bytes as u8 as usize];
                     bytes >>= 8;
                 }
-                while mask != 0 {
-                    slots[mask.trailing_zeros() as usize].push(span);
-                    mask &= mask - 1;
+                if mask != 0 {
+                    let span = (start, memchr::token_end(block, start) - start);
+                    while mask != 0 {
+                        slots[mask.trailing_zeros() as usize].push(span);
+                        mask &= mask - 1;
+                    }
                 }
             }
         }
@@ -201,7 +251,7 @@ impl RiderIndex {
             Route::Every => &sel.every,
             Route::Slot(n) => {
                 if cfg!(debug_assertions) {
-                    check_rejected(job, block, &sel.every, &sel.slots[n], &sink);
+                    check_rejected(job, block, &sel.slots[n], &sink);
                 }
                 &sel.slots[n]
             }
@@ -269,21 +319,24 @@ pub(crate) fn scan_block_for_job<J: MapReduceJob>(
 /// every token the index kept from it and panic if one emits — a job whose
 /// declared prefix is stronger than its filter would otherwise lose those
 /// records without a trace.
+///
+/// It tokenizes the block itself rather than trusting the start scan, so a
+/// start the scan skipped is checked too.
 fn check_rejected<J: MapReduceJob>(
     job: &J,
     block: &[u8],
-    every: &[Span],
     candidates: &[Span],
     sink: &TokenSink<'_, J>,
 ) {
-    // Both vectors are in block order and `candidates` is a subsequence.
+    // Tokens and candidates are both in block order, and the candidates are
+    // a subsequence of the tokens.
     let mut kept = candidates.iter().peekable();
-    for span in every {
-        if kept.peek() == Some(&span) {
+    memchr::for_each_token(block, |token| {
+        let span = (token.as_ptr() as usize - block.as_ptr() as usize, token.len());
+        if kept.peek() == Some(&&span) {
             kept.next();
-            continue;
+            return;
         }
-        let token = &block[span.0..span.0 + span.1];
         let emits = match sink {
             TokenSink::Arena { .. } => job.token_value(token).is_some(),
             TokenSink::Emit(_) => {
@@ -298,34 +351,40 @@ fn check_rejected<J: MapReduceJob>(
             String::from_utf8_lossy(job.token_prefix()),
             String::from_utf8_lossy(token),
         );
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The tokens each rider is handed, against a plain `starts_with` per
     /// rider: every matching token is a candidate, in block order, and
     /// nothing a rider is handed disagrees with the indexed part of its
-    /// prefix on a byte the token has.
+    /// prefix on a byte the token has. The all-token vector is filled
+    /// exactly when a prefix-less rider rides.
     fn check(block: &[u8], prefixes: &[&[u8]]) {
         let index = RiderIndex::new(prefixes.iter().map(|p| Some(*p)));
         let mut sel = Selection::default();
         // A dirty scratch must not leak into the next block.
         index.select(b"stale tokens from the previous block", &mut sel);
         index.select(block, &mut sel);
-        let mut tokens: Vec<&[u8]> = Vec::new();
-        memchr::for_each_token(block, |t| tokens.push(t));
+        let tokens: Vec<&[u8]> = memchr::tokens(block).collect();
+        let spans = |spans: &[Span]| -> Vec<&[u8]> {
+            spans.iter().map(|&(start, len)| &block[start..start + len]).collect()
+        };
+        if prefixes.iter().any(|p| p.is_empty()) {
+            assert_eq!(spans(&sel.every), tokens);
+        } else {
+            assert!(sel.every.is_empty());
+        }
         for (rider, prefix) in prefixes.iter().enumerate() {
-            let handed: Vec<&[u8]> = match index.routes[rider] {
-                Route::Every => &sel.every,
-                Route::Slot(n) => &sel.slots[n],
+            let handed = match index.routes[rider] {
+                Route::Every => spans(&sel.every),
+                Route::Slot(n) => spans(&sel.slots[n]),
                 Route::Line => unreachable!(),
-            }
-            .iter()
-            .map(|&(start, len)| &block[start..start + len])
-            .collect();
+            };
             let matching: Vec<&[u8]> = tokens
                 .iter()
                 .copied()
@@ -335,8 +394,11 @@ mod tests {
             for m in &matching {
                 assert!(rest.any(|h| h == m), "rider {rider} {prefix:?} lost {m:?}");
             }
+            let in_order = handed.windows(2).all(|w| w[0].as_ptr() < w[1].as_ptr());
+            assert!(in_order, "rider {rider} {prefix:?} handed out of block order");
             let indexed = &prefix[..prefix.len().min(MAX_DEPTH)];
             for h in &handed {
+                assert!(tokens.iter().any(|t| t.as_ptr() == h.as_ptr() && t == h));
                 let both = h.len().min(indexed.len());
                 assert_eq!(
                     h[..both],
@@ -357,6 +419,19 @@ mod tests {
         check(block, &[b""]);
         check(b"", &[b"a"]);
         check(b"   \n\t ", &[b"a", b""]);
+    }
+
+    #[test]
+    fn tokens_across_group_boundaries_and_short_blocks() {
+        // "abcdefghij" runs from offset 10 across the 16-byte group edge.
+        let block = b"x y zz abcabcdefghij abd\tab\xffab";
+        check(block, &[b"abc", b"ab"]);
+        check(block, &[b"abcd", b"a", b"x", b"z", b"\xff"]);
+        check(block, &[b"abc", b""]);
+        // Shorter than one group: the start scan runs on its padded tail.
+        check(b"ab a\tabc", &[b"ab"]);
+        check(b"ab a\tabc", &[b"ab", b"a", b"b", b"c", b"x"]);
+        check(b"b", &[b"b"]);
     }
 
     #[test]
@@ -384,5 +459,54 @@ mod tests {
         let empty = RiderIndex::new([None, None]);
         empty.select(b"ab abc b", &mut sel);
         assert!(sel.every.is_empty() && sel.slots.is_empty());
+    }
+
+    #[test]
+    fn first_byte_filter_needs_few_first_bytes_and_no_every_rider() {
+        let first = |prefixes: &[&[u8]]| RiderIndex::new(prefixes.iter().map(|p| Some(*p))).first;
+        assert_eq!(first(&[b"ab", b"ac", b"b\0", b" x"]), Some(vec![b' ', b'a', b'b']));
+        assert_eq!(first(&[b"a", b"b", b"c", b"d", b"ab"]).map(|f| f.len()), Some(4));
+        assert_eq!(first(&[b"a", b"b", b"c", b"d", b"e"]), None);
+        assert_eq!(first(&[b"a", b""]), None);
+    }
+
+    /// Block and prefix bytes: letters, NUL, all six whitespace bytes and
+    /// high bytes, few enough that prefixes match.
+    const ALPHABET: &[u8] = b"abc\0 \t\n\x0b\x0c\r\x80\xff";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `check` over arbitrary blocks and 0–70 prefixes of 0–10 bytes
+        /// whose first bytes come from a pool of 1–6, so both sides of
+        /// [`MAX_FIRST_BYTES`] and of the mask-word boundary are hit, with
+        /// and without a prefix-less rider.
+        #[test]
+        fn selection_matches_starts_with(
+            block in prop::collection::vec(prop::sample::select(ALPHABET.to_vec()), 0..120),
+            pool in prop::collection::vec(prop::sample::select(ALPHABET.to_vec()), 1..7),
+            picks in prop::collection::vec(0usize..1000, 0..71),
+            tails in prop::collection::vec(
+                prop::collection::vec(prop::sample::select(ALPHABET.to_vec()), 0..10), 71),
+            every_at in 0usize..100,
+        ) {
+            let mut prefixes: Vec<Vec<u8>> = picks
+                .iter()
+                .zip(&tails)
+                .map(|(&pick, tail)| [&[pool[pick % pool.len()]][..], tail].concat())
+                .collect();
+            // A quarter of the cases carry one prefix-less rider.
+            if every_at < 25 {
+                prefixes.insert(every_at.min(prefixes.len()), Vec::new());
+            }
+            let refs: Vec<&[u8]> = prefixes.iter().map(Vec::as_slice).collect();
+            let index = RiderIndex::new(refs.iter().map(|p| Some(*p)));
+            let mut first: Vec<u8> = refs.iter().filter_map(|p| p.first().copied()).collect();
+            first.sort_unstable();
+            first.dedup();
+            let filtered = !refs.iter().any(|p| p.is_empty()) && first.len() <= MAX_FIRST_BYTES;
+            prop_assert_eq!(index.first.is_some(), filtered);
+            check(&block, &refs);
+        }
     }
 }

@@ -193,15 +193,18 @@ impl BlockStore {
     pub fn from_bytes(bytes: &[u8], block_bytes: usize) -> Self {
         assert!(block_bytes > 0, "block size must be positive");
         let mut cuts = vec![0usize];
+        // The last cut pushed: where the open block starts.
+        let mut last = 0;
         let mut data = Vec::with_capacity(bytes.len() + 1);
         for line in memchr::lines(bytes) {
             data.extend_from_slice(line);
             data.push(b'\n');
-            if data.len() - cuts.last().unwrap() >= block_bytes {
-                cuts.push(data.len());
+            if data.len() - last >= block_bytes {
+                last = data.len();
+                cuts.push(last);
             }
         }
-        if *cuts.last().unwrap() != data.len() {
+        if last != data.len() {
             cuts.push(data.len());
         }
         BlockStore { data: data.into(), cuts: cuts.into() }
