@@ -346,16 +346,20 @@ mod tests {
 
     #[test]
     fn from_bytes_accepts_invalid_utf8_and_preserves_payload() {
-        let raw = b"ok line\n\xf0\x28\x8c\x28 mangled\nlast".to_vec();
-        let store = BlockStore::from_bytes(&raw, 8);
-        // from_bytes normalizes the missing trailing newline (line-aligned
-        // blocks), so compare against the line-rejoined form.
+        // Every byte value, then a last line with no newline.
+        let mut raw: Vec<u8> = (0u8..=255).cycle().take(1024).collect();
+        raw.extend_from_slice(b"ok line\n\xf0\x28\x8c\x28 mangled\nlast");
+        // from_bytes normalizes line endings (line-aligned blocks), so
+        // compare against the line-rejoined form.
         let mut want = Vec::new();
         for line in memchr::lines(&raw) {
             want.extend_from_slice(line);
             want.push(b'\n');
         }
-        let got: Vec<u8> = store.iter().flatten().copied().collect();
-        assert_eq!(got, want);
+        for block_bytes in [1, 7, 64, 512] {
+            let store = BlockStore::from_bytes(&raw, block_bytes);
+            let got: Vec<u8> = store.iter().flatten().copied().collect();
+            assert_eq!(got, want, "{block_bytes}-byte blocks");
+        }
     }
 }

@@ -488,6 +488,11 @@ mod tests {
     }
 
     #[test]
+    fn weighted_is_an_alias_for_hash() {
+        assert_eq!(PartitionMode::weighted(), PartitionMode::Hash);
+    }
+
+    #[test]
     fn default_combiner_is_identity() {
         struct NoCombine;
         impl MapReduceJob for NoCombine {

@@ -5,9 +5,9 @@
 //! interleaving pressure, panics mid-claim, worker exclusion mid-segment,
 //! and dropped tasks, on both the assisting and the legacy deadline path.
 //!
-//! This is the adversarial counterpart to the byte-identity property
-//! tests in `crates/engine/tests/properties.rs`: those prove the outputs,
-//! these prove the claim protocol that produces them.
+//! This is the adversarial counterpart to the byte-identity property in
+//! `tests/differential.rs`: that proves the outputs, these prove the claim
+//! protocol that produces them.
 
 use s3_engine::{
     run_job_legacy, BlockStore, EngineChaosConfig, EngineFault, FaultPlan, FtConfig, Obs,
