@@ -168,7 +168,8 @@ pub struct JobJournal {
 #[derive(Default)]
 struct JobBuilder {
     submit: Option<u64>,
-    admits: Vec<u64>,
+    /// `(ts, cursor)` of each admit instant.
+    admits: Vec<(u64, u64)>,
     terminals: Vec<(u64, Outcome)>,
     blocks_reported: Option<u64>,
     reduce_shards: Vec<ShardSlice>,
@@ -194,7 +195,7 @@ impl JobJournal {
                     b.submit.get_or_insert(ev.ts_us);
                 }
                 ("admit", Phase::Instant) => {
-                    jobs.entry(ev.ids.job).or_default().admits.push(ev.ts_us);
+                    jobs.entry(ev.ids.job).or_default().admits.push((ev.ts_us, ev.ids.n));
                 }
                 ("job_done", Phase::Instant) => {
                     let b = jobs.entry(ev.ids.job).or_default();
@@ -256,7 +257,8 @@ impl JobJournal {
             .filter(|(_, b)| b.submit.is_some() || !b.terminals.is_empty())
             .map(|(id, b)| {
                 let submit_us = b.submit.unwrap_or(0);
-                let admit_us = b.admits.first().copied();
+                let admit_us = b.admits.first().map(|&(ts, _)| ts);
+                let cursor = b.admits.first().map(|&(_, n)| n);
                 let (terminal_us, outcome) = b
                     .terminals
                     .first()
@@ -265,17 +267,26 @@ impl JobJournal {
                 let expected = b.blocks_reported.unwrap_or(store_blocks);
 
                 // Replay the coordinator's assignment: count down the
-                // job's revolution over segments ending after admission.
+                // job's revolution from the segment it was admitted into,
+                // the last one to start at the admit cursor by the admit
+                // instant. Spans carry whole-microsecond start times, so a
+                // short segment can end in the microsecond its admits were
+                // stamped in; only the cursor tells it from the segment
+                // before. With no such segment in the trace, the revolution
+                // starts with the first segment ending after admission.
                 let mut slices = Vec::new();
                 let mut remaining = expected;
                 let mut scan_end_us = admit_us;
                 if let Some(admit) = admit_us {
-                    for &(ts, dur, start, len) in &segments {
+                    let first = cursor.and_then(|c| {
+                        segments.iter().rposition(|&(ts, _, start, _)| ts <= admit && start == c)
+                    });
+                    for (i, &(ts, dur, start, len)) in segments.iter().enumerate() {
                         if remaining == 0 {
                             break;
                         }
                         let end = ts + dur;
-                        if end <= admit || ts > terminal_us {
+                        if first.map_or(end <= admit, |first| i < first) || ts > terminal_us {
                             continue;
                         }
                         let take = len.min(remaining);
@@ -559,6 +570,24 @@ mod tests {
         // (ts 10); the segment must still be attributed to the job.
         let j = JobJournal::from_events(&sample_events());
         assert_eq!(j.jobs[0].segments[0].ts_us, 10);
+    }
+
+    #[test]
+    fn a_segment_ending_in_its_admit_microsecond_still_counts() {
+        // The segment before ends, and the admitted one starts and ends,
+        // in the microsecond the admit is stamped in.
+        let events = vec![
+            instant(5, "submit", Ids::job(0)),
+            span(10, 1, "segment", Ids::seg(2).jobs(2)),
+            instant(11, "admit", Ids::job(0).jobs(0)),
+            span(11, 0, "segment", Ids::seg(0).jobs(2)),
+            span(11, 3, "segment", Ids::seg(2).jobs(2)),
+            instant(20, "job_done", Ids::job(0).jobs(4)),
+        ];
+        let j = JobJournal::from_events(&events);
+        let starts: Vec<u64> = j.jobs[0].segments.iter().map(|s| s.start_block).collect();
+        assert_eq!((starts, j.jobs[0].blocks_covered), (vec![0, 2], 4));
+        j.validate().unwrap();
     }
 
     #[test]
