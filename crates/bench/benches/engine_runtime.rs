@@ -31,7 +31,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use s3_engine::{
-    run_job, BlockStore, ExecConfig, FtConfig, MapReduceJob, ServerConfig, SharedScanServer,
+    run_job, BlockStore, ExecConfig, FtConfig, JobShape, MapReduceJob, ServerConfig, SharedScanServer,
 };
 use s3_sim::SimRng;
 use s3_workloads::jobs::PatternWordCount;
@@ -146,11 +146,16 @@ impl MapReduceJob for RowCount {
     fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
         Some(v.iter().sum())
     }
-    fn combine_is_fold(&self) -> bool {
-        self.fold
+    fn shape(&self) -> JobShape<'_> {
+        if self.fold {
+            JobShape::LineFold
+        } else {
+            JobShape::Line
+        }
     }
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
         *acc += next;
+        None
     }
 }
 

@@ -648,9 +648,11 @@ mod engine_fuzz {
                     (format!("panicked:{msg}"), "panicked")
                 }
                 Err(s3_engine::JobError::Aborted) => ("aborted".to_string(), "aborted"),
-                // Service-layer errors can't come out of a bare server.
+                // Service-layer errors can't come out of a bare server, and
+                // the chaos jobs' folds never refuse.
                 Err(e @ s3_engine::JobError::Rejected { .. })
-                | Err(e @ s3_engine::JobError::DeadlineExpired) => {
+                | Err(e @ s3_engine::JobError::DeadlineExpired)
+                | Err(e @ s3_engine::JobError::FoldRefused) => {
                     violations.push(format!("job {i}: service-layer error {e} from a bare server"));
                     (format!("unexpected:{e}"), "unexpected")
                 }
@@ -1007,7 +1009,7 @@ mod service_fuzz {
                 Err(JobError::Panicked(_)) => c_quar += 1,
                 Err(JobError::DeadlineExpired) => c_expired += 1,
                 Err(JobError::Aborted) => c_aborted += 1,
-                Err(e @ JobError::Rejected { .. }) => {
+                Err(e @ (JobError::Rejected { .. } | JobError::FoldRefused)) => {
                     violations.push(format!("job {i}: admitted handle resolved {e}"))
                 }
             }

@@ -17,7 +17,7 @@
 //! [`run_job_legacy`] is the reference all of them are tested against: a
 //! sequential function that shares none of that code.
 
-use crate::fanout::{scan_block_for_job, RiderIndex, Selection};
+use crate::fanout::{scan_block_for_job, Plan, RiderIndex, Selection};
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
 use crate::reduce::{assemble, reduce_bin, split_into_bins, JobAcc, JobPartial};
 use crate::store::BlockStore;
@@ -162,7 +162,8 @@ pub fn run_merged_observed<J: MapReduceJob>(
     let num_blocks = store.num_blocks();
     let fan_out = pool.num_threads().min(num_blocks).max(1);
     let progress = WorkProgress::new(num_blocks);
-    let fan = RiderIndex::over(jobs.iter().copied());
+    let plans: Vec<Plan> = jobs.iter().map(|job| Plan::of(*job)).collect();
+    let fan = RiderIndex::over(&plans);
 
     // ---- map phase ----
     let map_t0 = core.map(|c| c.tracer.now_us());
@@ -175,7 +176,7 @@ pub fn run_merged_observed<J: MapReduceJob>(
             BlockClaims::shared(&progress)
         };
         let mut partials: Vec<JobPartial<J>> =
-            jobs.iter().map(|job| JobPartial::new(*job, nshards)).collect();
+            plans.iter().map(|plan| JobPartial::new(plan, nshards)).collect();
         let mut sel = Selection::default();
         let mut bytes = 0u64;
         while let Some(idx) = claims.claim() {
@@ -209,9 +210,10 @@ pub fn run_merged_observed<J: MapReduceJob>(
     let mut shuffle_records = 0u64;
     let outputs = jobs
         .iter()
+        .zip(&plans)
         .zip(per_job)
-        .map(|(job, (emitted, accs))| {
-            let (inputs, bin_records) = split_into_bins(*job, accs, nshards);
+        .map(|((job, plan), (emitted, accs))| {
+            let (inputs, bin_records) = split_into_bins(*job, plan, accs, nshards);
             map_records += emitted;
             shuffle_records += bin_records.iter().sum::<u64>();
             // Each bin's task takes its input by move.

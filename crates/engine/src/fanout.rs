@@ -2,12 +2,13 @@
 //! lookup per start for **all** co-riding jobs, so that rider N+1 pays for
 //! the tokens it could match, not for another pass over every token.
 //!
-//! A [`RiderIndex`] is built over the per-token jobs of one shared scan
-//! (one segment of a server, one batch run) from the
-//! prefixes they declare ([`MapReduceJob::token_prefix`]). It holds one
-//! 256-entry table of rider bitmasks per leading byte position; AND-ing
-//! the entries a token's leading bytes select yields the riders whose
-//! prefix the token starts with. Mapping a block is then two phases:
+//! Each job's [`JobShape`] is resolved once per submission into a [`Plan`]
+//! ([`Plan::of`]): lines or a token prefix to route by, and so the sink and
+//! accumulator. A [`RiderIndex`] is built over the plans of one shared scan
+//! (one segment of a server, one batch run) from the token riders'
+//! prefixes: one 256-entry table of rider bitmasks per leading byte
+//! position, whose entries a token's leading bytes select AND to the riders
+//! whose prefix the token starts with. Mapping a block is then two phases:
 //!
 //! 1. [`RiderIndex::select`] finds the block's token starts once and
 //!    appends each start's `(offset, len)` span to the selection vector of
@@ -16,23 +17,23 @@
 //!    64 of them). A token's end is found only when some rider takes it,
 //!    and when the riders' prefixes begin with few distinct bytes, starts
 //!    with any other first byte are dropped inside the start scan;
-//! 2. [`RiderIndex::map_rider`], once per rider, confirms each candidate
-//!    with the job's own map code and folds what it emits.
+//! 2. [`scan_block_for_job`], once per rider, confirms each candidate with
+//!    the job's own map code and folds what it emits.
 //!
 //! The index only ever *narrows*: a candidate is still confirmed by
-//! `token_value` / `map_token_bytes`, so false positives (a 9-byte prefix
-//! indexed on its first 8 bytes) cost a call, and jobs that declare nothing
-//! read the vector of all tokens, exactly the pass they made before.
-//! Keeping the second phase rider-major keeps the callers' per-(job, block)
-//! panic quarantine and their per-job `emitted` counts where they were.
+//! `token_value` / `map_token`, so false positives (a 9-byte prefix indexed
+//! on its first 8 bytes) cost a call, and jobs that declare nothing read
+//! the vector of all tokens, exactly the pass they made before. Keeping the
+//! second phase rider-major keeps the callers' per-(job, block) panic
+//! quarantine and their per-job `emitted` counts where they were.
 //!
 //! [`scan_block_for_job`] is the step every executor shares — the map core:
 //! one rider's map over one block into that worker's accumulator, through
-//! the kernel for per-token riders and line by line for the rest.
+//! the kernel for token riders and line by line for the rest.
 
-use crate::arena::{load8, TokenMap};
-use crate::reduce::{JobAcc, JobPartial};
-use crate::types::MapReduceJob;
+use crate::arena::load8;
+use crate::reduce::{fold, fold_into, group_into, JobAcc, JobPartial};
+use crate::types::{JobShape, MapReduceJob};
 
 /// One token of a block: `(offset, length)`.
 type Span = (usize, usize);
@@ -55,6 +56,46 @@ const MAX_DEPTH: usize = 8;
 /// save (EXPERIMENTS.md, "Select by token start").
 const MAX_FIRST_BYTES: usize = 4;
 
+/// A job's [`JobShape`] as resolved at submission (DESIGN.md, "What a job
+/// declares"): lines or a token prefix to route by, and what the records
+/// fold or group into.
+#[derive(Debug)]
+pub(crate) enum Plan {
+    /// `map_bytes` per line into pairs, folded per key or grouped.
+    Lines { fold: bool },
+    /// `map_token` per selected token into pairs, folded per key or grouped.
+    Tokens { prefix: Box<[u8]>, fold: bool },
+    /// `token_value` per selected token into the arena: no line arena exists.
+    Arena { prefix: Box<[u8]> },
+}
+
+impl Plan {
+    /// The engine's one call of [`MapReduceJob::shape`]. The prefix is
+    /// copied, so it holds for the whole run whatever the job does later.
+    pub(crate) fn of<J: MapReduceJob>(job: &J) -> Plan {
+        match job.shape() {
+            JobShape::Line => Plan::Lines { fold: false },
+            JobShape::LineFold => Plan::Lines { fold: true },
+            JobShape::Token { prefix } => Plan::Tokens { prefix: prefix.into(), fold: false },
+            JobShape::TokenFold { prefix } => Plan::Tokens { prefix: prefix.into(), fold: true },
+            JobShape::TokenIdentity { prefix } => Plan::Arena { prefix: prefix.into() },
+        }
+    }
+
+    /// Whether one value per key reaches the reduce side.
+    pub(crate) fn folds(&self) -> bool {
+        !matches!(self, Plan::Lines { fold: false } | Plan::Tokens { fold: false, .. })
+    }
+
+    /// A token rider's prefix; `None` for a line rider.
+    fn prefix(&self) -> Option<&[u8]> {
+        match self {
+            Plan::Lines { .. } => None,
+            Plan::Tokens { prefix, .. } | Plan::Arena { prefix } => Some(prefix),
+        }
+    }
+}
+
 /// How one rider of the scan gets its tokens.
 #[derive(Clone, Copy)]
 enum Route {
@@ -73,6 +114,8 @@ pub(crate) struct RiderIndex {
     routes: Vec<Route>,
     /// Riders with a [`Route::Slot`].
     slots: usize,
+    /// Slot `n`'s prefix, for the debug-build check's message.
+    prefixes: Vec<Box<[u8]>>,
     /// Byte positions indexed: the longest prefix, capped at [`MAX_DEPTH`].
     depth: usize,
     /// One 256-entry mask table per (mask word, position), laid out
@@ -100,27 +143,10 @@ pub(crate) struct Selection {
     slots: Vec<Vec<Span>>,
 }
 
-/// Where a rider's confirmed tokens go.
-pub(crate) enum TokenSink<'a, J: MapReduceJob> {
-    /// Token-identity jobs ([`MapReduceJob::map_emits_token`]): confirm with
-    /// `token_value`, count, fold under the raw token bytes.
-    Arena {
-        /// The rider's arena accumulator.
-        map: &'a mut TokenMap<J::V>,
-        /// The rider's map-output record count.
-        emitted: &'a mut u64,
-    },
-    /// Every other per-token job: `map_token_bytes` into the caller's emit.
-    Emit(&'a mut dyn FnMut(J::K, J::V)),
-}
-
 impl RiderIndex {
-    /// Index `jobs` for one shared scan.
-    pub(crate) fn over<'j, J: MapReduceJob + 'j>(jobs: impl IntoIterator<Item = &'j J>) -> Self {
-        Self::new(
-            jobs.into_iter()
-                .map(|job| job.map_is_per_token().then(|| job.token_prefix())),
-        )
+    /// Index the riders of one shared scan, in the caller's job order.
+    pub(crate) fn over<'p>(plans: impl IntoIterator<Item = &'p Plan>) -> Self {
+        Self::new(plans.into_iter().map(Plan::prefix))
     }
 
     /// One entry per rider: `None` for a line rider, else its prefix.
@@ -138,6 +164,7 @@ impl RiderIndex {
             })
             .collect();
         let slots = prefixes.len();
+        let prefixes: Vec<Box<[u8]>> = prefixes.into_iter().map(Box::from).collect();
         let words = slots.div_ceil(64);
         let depth = prefixes
             .iter()
@@ -166,6 +193,7 @@ impl RiderIndex {
         RiderIndex {
             routes,
             slots,
+            prefixes,
             depth,
             tables,
             every_rides,
@@ -233,57 +261,69 @@ impl RiderIndex {
         }
     }
 
-    /// Phase 2 for one rider: run `job`'s own map code over the tokens
-    /// [`select`](Self::select) picked for it out of `block`.
-    ///
-    /// Runs user code, which may panic; callers that quarantine wrap each
-    /// call in their per-(job, block) `catch_unwind`.
-    pub(crate) fn map_rider<J: MapReduceJob>(
+    /// The tokens [`select`](Self::select) handed `rider` out of the
+    /// block; `None` for a line rider, which maps lines instead.
+    fn tokens<'s>(&self, sel: &'s Selection, rider: usize) -> Option<&'s [Span]> {
+        match self.routes[rider] {
+            Route::Line => None,
+            Route::Every => Some(&sel.every),
+            Route::Slot(n) => Some(&sel.slots[n]),
+        }
+    }
+
+    /// The debug-build guard on a declared prefix: run the job on every
+    /// token the index kept from `rider` (confirming with `token_value` if
+    /// `arena`, else `map_token`) and panic if one emits — a job whose
+    /// declared prefix is stronger than its filter would otherwise lose
+    /// those records without a trace. It tokenizes the block itself rather
+    /// than trusting the start scan, so a start the scan skipped is checked
+    /// too.
+    fn check_rejected<J: MapReduceJob>(
         &self,
-        sel: &Selection,
-        rider: usize,
         job: &J,
         block: &[u8],
-        sink: TokenSink<'_, J>,
+        sel: &Selection,
+        rider: usize,
+        arena: bool,
     ) {
-        let candidates = match self.routes[rider] {
-            Route::Line => unreachable!("line riders never enter the token kernel"),
-            Route::Every => &sel.every,
-            Route::Slot(n) => {
-                if cfg!(debug_assertions) {
-                    check_rejected(job, block, &sel.slots[n], &sink);
-                }
-                &sel.slots[n]
-            }
+        let Route::Slot(n) = self.routes[rider] else {
+            return;
         };
-        match sink {
-            TokenSink::Arena { map, emitted } => {
-                for &(start, len) in candidates {
-                    if let Some(v) = job.token_value(&block[start..start + len]) {
-                        *emitted += 1;
-                        map.upsert_span(block, start, len, v, |acc, next| {
-                            job.combine_fold(acc, next)
-                        });
-                    }
-                }
+        // Tokens and candidates are both in block order, and the candidates
+        // are a subsequence of the tokens.
+        let mut kept = sel.slots[n].iter().peekable();
+        memchr::for_each_token(block, |token| {
+            let span = (token.as_ptr() as usize - block.as_ptr() as usize, token.len());
+            if kept.peek() == Some(&&span) {
+                kept.next();
+                return;
             }
-            TokenSink::Emit(emit) => {
-                for &(start, len) in candidates {
-                    job.map_token_bytes(&block[start..start + len], emit);
-                }
-            }
-        }
+            let emits = if arena {
+                job.token_value(token).is_some()
+            } else {
+                let mut any = false;
+                job.map_token(token, &mut |_, _| any = true);
+                any
+            };
+            assert!(
+                !emits,
+                "job declares token_prefix {:?} but emits for token {:?}",
+                String::from_utf8_lossy(&self.prefixes[n]),
+                String::from_utf8_lossy(token),
+            );
+        });
     }
 }
 
 /// The map core: run one job's map over one block into its worker's
 /// partial. Every executor's per-(rider, block) step is this call.
 ///
-/// Per-token jobs map the tokens the scan's fan-out index (`fan`, in which
-/// this job is rider `rider`) selected for them out of the block — the
-/// caller runs [`RiderIndex::select`] once per block, for all jobs;
-/// token-identity jobs fold straight into the arena accumulator. Line jobs
-/// walk the block through the SWAR line iterator.
+/// The accumulator is the one the job's [`Plan`] made, so it is the sink:
+/// an arena folds the tokens the scan's fan-out index (`fan`, in which this
+/// job is rider `rider`) selected for it with `token_value`; a fold map or
+/// grouped tables take the pairs `map_token` emits for those tokens, or,
+/// for a line rider, the pairs `map_bytes` emits per line. The caller runs
+/// [`RiderIndex::select`] once per block, for all jobs.
 ///
 /// User map code may panic: the server wraps each call in its
 /// per-(job, block) `catch_unwind`, the batch front lets it unwind.
@@ -296,62 +336,47 @@ pub(crate) fn scan_block_for_job<J: MapReduceJob>(
     partial: &mut JobPartial<J>,
 ) {
     let JobPartial { emitted, acc } = partial;
-    if job.map_is_per_token() {
-        let sink = match acc {
-            JobAcc::Tok(map) => TokenSink::Arena { map, emitted },
-            _ => TokenSink::Emit(&mut |k, v| {
-                *emitted += 1;
-                acc.push(job, k, v);
-            }),
-        };
-        fan.map_rider(sel, rider, job, block, sink);
-    } else {
-        for line in memchr::lines(block) {
-            job.map_bytes(line, &mut |k, v| {
-                *emitted += 1;
-                acc.push(job, k, v);
-            });
+    if cfg!(debug_assertions) {
+        fan.check_rejected(job, block, sel, rider, matches!(acc, JobAcc::Tok(_)));
+    }
+    let tokens = fan.tokens(sel, rider);
+    match acc {
+        // `Plan::Arena` routes tokens, so an arena rider is handed some.
+        JobAcc::Tok(map) => {
+            for &(start, len) in tokens.unwrap_or_default() {
+                if let Some(v) = job.token_value(&block[start..start + len]) {
+                    *emitted += 1;
+                    map.upsert_span(block, start, len, v, |acc, next| fold(job, acc, next));
+                }
+            }
         }
+        JobAcc::Fold(map) => map_pairs(job, block, tokens, &mut |k, v| {
+            *emitted += 1;
+            fold_into(job, map, k, v);
+        }),
+        JobAcc::Grouped(shards) => map_pairs(job, block, tokens, &mut |k, v| {
+            *emitted += 1;
+            group_into(shards, k, v);
+        }),
     }
 }
 
-/// The debug-build guard on [`MapReduceJob::token_prefix`]: run the job on
-/// every token the index kept from it and panic if one emits — a job whose
-/// declared prefix is stronger than its filter would otherwise lose those
-/// records without a trace.
-///
-/// It tokenizes the block itself rather than trusting the start scan, so a
-/// start the scan skipped is checked too.
-fn check_rejected<J: MapReduceJob>(
+/// Run `job`'s map over the `tokens` the index handed it, or, for a line
+/// rider, over the block's lines.
+fn map_pairs<J: MapReduceJob>(
     job: &J,
     block: &[u8],
-    candidates: &[Span],
-    sink: &TokenSink<'_, J>,
+    tokens: Option<&[Span]>,
+    emit: &mut dyn FnMut(J::K, J::V),
 ) {
-    // Tokens and candidates are both in block order, and the candidates are
-    // a subsequence of the tokens.
-    let mut kept = candidates.iter().peekable();
-    memchr::for_each_token(block, |token| {
-        let span = (token.as_ptr() as usize - block.as_ptr() as usize, token.len());
-        if kept.peek() == Some(&&span) {
-            kept.next();
-            return;
-        }
-        let emits = match sink {
-            TokenSink::Arena { .. } => job.token_value(token).is_some(),
-            TokenSink::Emit(_) => {
-                let mut any = false;
-                job.map_token_bytes(token, &mut |_, _| any = true);
-                any
+    match tokens {
+        Some(tokens) => {
+            for &(start, len) in tokens {
+                job.map_token(&block[start..start + len], emit);
             }
-        };
-        assert!(
-            !emits,
-            "job declares token_prefix {:?} but emits for token {:?}",
-            String::from_utf8_lossy(job.token_prefix()),
-            String::from_utf8_lossy(token),
-        );
-    });
+        }
+        None => memchr::lines(block).for_each(|line| job.map_bytes(line, emit)),
+    }
 }
 
 #[cfg(test)]
@@ -380,11 +405,7 @@ mod tests {
             assert!(sel.every.is_empty());
         }
         for (rider, prefix) in prefixes.iter().enumerate() {
-            let handed = match index.routes[rider] {
-                Route::Every => spans(&sel.every),
-                Route::Slot(n) => spans(&sel.slots[n]),
-                Route::Line => unreachable!(),
-            };
+            let handed = spans(index.tokens(&sel, rider).expect("a token rider"));
             let matching: Vec<&[u8]> = tokens
                 .iter()
                 .copied()

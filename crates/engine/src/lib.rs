@@ -87,4 +87,6 @@ pub use scan_server::{
 };
 pub use service::{FileSpec, QosConfig, ScanService, ServiceConfig, ServiceStats};
 pub use store::{BlockStore, FileCatalog, FileId, NonUtf8Block, UnknownFile};
-pub use types::{ConfigError, JobError, JobResult, MapReduceJob, PartitionMode, QosClass, RejectReason};
+pub use types::{
+    ConfigError, JobError, JobResult, JobShape, MapReduceJob, PartitionMode, QosClass, RejectReason,
+};

@@ -7,6 +7,9 @@
 //! (DESIGN.md, "One map core, one reduce core"). A bin is a reduce shard:
 //! keys are routed by [`shard_of_hash`] of their [`key_hash`], nothing else.
 //!
+//! Which accumulator a job gets is its [`Plan`]'s, resolved once per
+//! submission from the job's [`JobShape`](crate::JobShape).
+//!
 //! A job without a fold combiner keeps every value, but need not keep a
 //! hot key once per value: its records are grouped where they are emitted,
 //! in a [`Groups`] table that holds a key, its hash, and the values that
@@ -28,21 +31,21 @@
 
 use crate::arena::TokenMap;
 use crate::exec::{JobOutput, ScanStats};
+use crate::fanout::Plan;
 use crate::partition::{key_hash, shard_of_hash};
-use crate::types::MapReduceJob;
+use crate::types::{JobError, MapReduceJob};
 use fxhash::FxHashMap;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
-/// Map-side accumulator for one job on one worker. Fold jobs stream into
-/// one value per key; token-identity fold jobs
-/// ([`MapReduceJob::map_emits_token`]) fold under the raw token bytes in a
-/// [`TokenMap`] arena, and no key is materialized until the finish-time
-/// flush calls `token_key` once per distinct token. A job without a fold
-/// combiner keeps every value, so its accumulator is already the
-/// reduce-side layout: one [`Groups`] table per reduce shard, routed at
-/// emit by the key's hash, which the table keeps (see DESIGN.md, "The
-/// reduce path").
+/// Map-side accumulator for one job on one worker, of the kind its [`Plan`]
+/// makes. Fold jobs stream into one value per key; token-identity jobs
+/// ([`Plan::Arena`]) fold under the raw token bytes in a [`TokenMap`]
+/// arena, and no key is materialized until the finish-time flush calls
+/// `token_key` once per distinct token. A job without a fold combiner
+/// keeps every value, so its accumulator is already the reduce-side
+/// layout: one [`Groups`] table per reduce shard, routed at emit by the
+/// key's hash, which the table keeps (see DESIGN.md, "The reduce path").
 pub(crate) enum JobAcc<J: MapReduceJob> {
     Fold(FxHashMap<J::K, J::V>),
     Grouped(Vec<ShardGroups<J>>),
@@ -53,34 +56,6 @@ pub(crate) enum JobAcc<J: MapReduceJob> {
 pub(crate) type ShardGroups<J> = Groups<<J as MapReduceJob>::K, <J as MapReduceJob>::V>;
 
 impl<J: MapReduceJob> JobAcc<J> {
-    /// The accumulator kind is a pure function of the job's declared flags
-    /// and the reduce width, so every worker (and the resilient scan
-    /// path's block-local accumulators) picks the same variant, with the
-    /// same shard count, for a job.
-    fn for_job(job: &J, nshards: usize) -> Self {
-        if job.combine_is_fold() {
-            if job.map_emits_token() {
-                JobAcc::Tok(TokenMap::new())
-            } else {
-                JobAcc::Fold(FxHashMap::default())
-            }
-        } else {
-            JobAcc::Grouped((0..nshards).map(|_| Groups::new()).collect())
-        }
-    }
-
-    pub(crate) fn push(&mut self, job: &J, k: J::K, v: J::V) {
-        match self {
-            JobAcc::Fold(map) => fold_into(job, map, k, v),
-            JobAcc::Grouped(shards) => {
-                let hash = key_hash(&k);
-                let shard = shard_of_hash(hash, shards.len());
-                shards[shard].push(hash, k, v);
-            }
-            JobAcc::Tok(_) => unreachable!("token-identity jobs fold inside the fan-out kernel"),
-        }
-    }
-
     /// Merge a committed block-local accumulator into this (persistent)
     /// one — the resilient scan path's idempotent-commit step.
     pub(crate) fn merge(&mut self, job: &J, other: JobAcc<J>) {
@@ -96,7 +71,7 @@ impl<J: MapReduceJob> JobAcc<J> {
                 }
             }
             (JobAcc::Tok(m), JobAcc::Tok(o)) => {
-                m.merge_from(o, |acc, next| job.combine_fold(acc, next));
+                m.merge_from(o, |acc, next| fold(job, acc, next));
             }
             _ => unreachable!("accumulator kinds are fixed per job"),
         }
@@ -111,12 +86,18 @@ pub(crate) struct JobPartial<J: MapReduceJob> {
 }
 
 impl<J: MapReduceJob> JobPartial<J> {
-    /// An empty partial for `job`, reducing over `nshards` shards.
-    pub(crate) fn new(job: &J, nshards: usize) -> Self {
-        JobPartial {
-            emitted: 0,
-            acc: JobAcc::for_job(job, nshards),
-        }
+    /// An empty partial for a job of `plan`, reducing over `nshards`
+    /// shards. The accumulator kind is a pure function of the plan and the
+    /// reduce width, so every worker (and the resilient scan path's
+    /// block-local accumulators) picks the same variant, with the same shard
+    /// count, for a job.
+    pub(crate) fn new(plan: &Plan, nshards: usize) -> Self {
+        let acc = match plan {
+            Plan::Arena { .. } => JobAcc::Tok(TokenMap::new()),
+            _ if plan.folds() => JobAcc::Fold(FxHashMap::default()),
+            _ => JobAcc::Grouped((0..nshards).map(|_| Groups::new()).collect()),
+        };
+        JobPartial { emitted: 0, acc }
     }
 }
 
@@ -142,13 +123,13 @@ pub(crate) enum ShardInput<J: MapReduceJob> {
 /// Runs the job's `combine_fold`, `token_key` and `Hash`, which may panic.
 pub(crate) fn split_into_bins<J: MapReduceJob>(
     job: &J,
+    plan: &Plan,
     partials: Vec<JobAcc<J>>,
     nbins: usize,
 ) -> (Vec<ShardInput<J>>, Vec<u64>) {
     let mut bin_records = vec![0u64; nbins];
-    // A job's partials are all of one kind, the one `JobAcc::for_job` picks
-    // from the same flag.
-    let bins = if job.combine_is_fold() {
+    // A job's partials are all of the one kind its plan makes.
+    let bins = if plan.folds() {
         let mut folded: Vec<FxHashMap<J::K, J::V>> = (0..nbins).map(|_| FxHashMap::default()).collect();
         // Fold-merges the values of keys seen by several workers.
         let mut flush = |k: J::K, v: J::V| {
@@ -161,7 +142,11 @@ pub(crate) fn split_into_bins<J: MapReduceJob>(
                 JobAcc::Fold(map) => map.into_iter().for_each(|(k, v)| flush(k, v)),
                 // The one place the fast path builds real keys: once per
                 // distinct token per worker accumulator.
-                JobAcc::Tok(map) => map.drain_into(|tok, v| flush(job.token_key(tok), v)),
+                JobAcc::Tok(map) => map.drain_into(|tok, v| {
+                    if let Some(k) = job.token_key(tok) {
+                        flush(k, v);
+                    }
+                }),
                 JobAcc::Grouped(_) => {}
             }
         }
@@ -208,14 +193,32 @@ pub(crate) fn assemble<J: MapReduceJob>(
     JobOutput { records, stats }
 }
 
+/// Fold `next` into `acc` with the job's `combine_fold`. A value handed
+/// back means the job declared a fold it cannot do: it fails with
+/// [`JobError::FoldRefused`], raised as the panic payload so it takes the
+/// path a panic in the job's own code takes — quarantine on a server, the
+/// caller's unwind on the batch front.
+#[inline]
+pub(crate) fn fold<J: MapReduceJob>(job: &J, acc: &mut J::V, next: J::V) {
+    if job.combine_fold(acc, next).is_some() {
+        std::panic::panic_any(JobError::FoldRefused);
+    }
+}
+
 /// Fold one emitted pair into a fold job's one-value-per-key accumulator.
-fn fold_into<J: MapReduceJob>(job: &J, acc: &mut FxHashMap<J::K, J::V>, k: J::K, v: J::V) {
+pub(crate) fn fold_into<J: MapReduceJob>(job: &J, acc: &mut FxHashMap<J::K, J::V>, k: J::K, v: J::V) {
     match acc.entry(k) {
-        Entry::Occupied(mut e) => job.combine_fold(e.get_mut(), v),
+        Entry::Occupied(mut e) => fold(job, e.get_mut(), v),
         Entry::Vacant(e) => {
             e.insert(v);
         }
     }
+}
+
+/// Route one emitted pair of a non-fold job to its shard's table by its key's hash.
+pub(crate) fn group_into<K: std::hash::Hash + Eq, V>(shards: &mut [Groups<K, V>], k: K, v: V) {
+    let hash = key_hash(&k);
+    shards[shard_of_hash(hash, shards.len())].push(hash, k, v);
 }
 
 /// Concatenate owned parts into one exactly-sized vector, moving elements.

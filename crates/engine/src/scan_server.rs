@@ -24,8 +24,8 @@
 //!
 //! Map-side state is **worker-persistent**: each pool worker keeps one
 //! accumulator per active job across the whole revolution (streamed via
-//! [`MapReduceJob::combine_fold`] when the job declares a fold combiner),
-//! so segments no longer pay a merge-into-coordinator step.
+//! [`MapReduceJob::combine_fold`] when the job's shape declares a fold
+//! combiner), so segments no longer pay a merge-into-coordinator step.
 //!
 //! ## Fault tolerance
 //!
@@ -73,7 +73,7 @@
 //! ```
 
 use crate::exec::ScanStats;
-use crate::fanout::{scan_block_for_job, RiderIndex, Selection};
+use crate::fanout::{scan_block_for_job, Plan, RiderIndex, Selection};
 use crate::fault::{ArmedFaults, FaultPlan, FtConfig};
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
 use crate::reduce::{
@@ -86,7 +86,7 @@ use s3_obs::trace::Ids;
 use s3_obs::{Counter, Gauge, Histogram, Obs, TraceRecorder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -201,40 +201,21 @@ impl ServerObs {
 /// Per-worker slot: the partials of every job this worker has scanned for.
 type Slot<J> = Vec<(u64, JobPartial<J>)>;
 
-/// Sticky record of a job's own code having panicked. Shared between the
-/// scan workers (who record), the coordinator (who quarantines), and the
-/// reduce shards (who fail the finalization).
-struct JobFailure {
-    failed: AtomicBool,
-    msg: Mutex<Option<String>>,
-}
+/// Sticky record of a job's own code having panicked (or refused a fold it
+/// declared); the first recorded error wins. Shared between the scan
+/// workers (who record), the coordinator (who quarantines), and the reduce
+/// shards (who fail the finalization).
+type JobFailure = OnceLock<JobError>;
 
-impl JobFailure {
-    fn new() -> Arc<Self> {
-        Arc::new(JobFailure {
-            failed: AtomicBool::new(false),
-            msg: Mutex::new(None),
-        })
-    }
-
-    fn failed(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
-    }
-
-    /// Record a panic payload; the first recorded message wins.
-    fn record(&self, payload: Box<dyn std::any::Any + Send>) {
-        let msg = payload_to_string(payload);
-        let mut guard = self.msg.lock();
-        if guard.is_none() {
-            *guard = Some(msg);
-        }
-        drop(guard);
-        self.failed.store(true, Ordering::Release);
-    }
-
-    fn message(&self) -> String {
-        self.msg.lock().clone().unwrap_or_else(|| "job panicked".into())
-    }
+/// Record a panic payload as the job's failure. A payload that is a
+/// [`JobError`] (the engine's own typed failures) is kept as it is, any
+/// other becomes [`JobError::Panicked`] with its message.
+fn record(failure: &JobFailure, payload: Box<dyn std::any::Any + Send>) {
+    let error = match payload.downcast::<JobError>() {
+        Ok(error) => *error,
+        Err(payload) => JobError::Panicked(payload_to_string(payload)),
+    };
+    let _ = failure.set(error);
 }
 
 fn payload_to_string(p: Box<dyn std::any::Any + Send>) -> String {
@@ -281,7 +262,8 @@ impl<K: Ord, Out> HandleState<K, Out> {
 pub(crate) enum ResolveKind {
     /// Published an output.
     Completed,
-    /// Published [`JobError::Panicked`] (quarantine).
+    /// Published [`JobError::Panicked`] or [`JobError::FoldRefused`]
+    /// (quarantine).
     Quarantined,
     /// Published [`JobError::Aborted`].
     Aborted,
@@ -335,7 +317,7 @@ impl<K: Ord, Out> Completion<K, Out> {
         }
         let kind = match &result {
             Ok(_) => ResolveKind::Completed,
-            Err(JobError::Panicked(_)) => ResolveKind::Quarantined,
+            Err(JobError::Panicked(_) | JobError::FoldRefused) => ResolveKind::Quarantined,
             Err(JobError::DeadlineExpired) => ResolveKind::Expired,
             // Rejected never reaches a server-side completion; fold any
             // stray into the abort bucket rather than inventing a kind.
@@ -364,6 +346,8 @@ impl<K: Ord, Out> Drop for Completion<K, Out> {
 struct ActiveJob<J: MapReduceJob> {
     id: u64,
     job: Arc<J>,
+    /// The job's shape, resolved once at submission.
+    plan: Arc<Plan>,
     completion: Completion<J::K, J::Out>,
     failure: Arc<JobFailure>,
     /// Blocks of this job's revolution still to scan (counts down from the
@@ -858,9 +842,10 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
         };
         ActiveJob {
             id,
+            plan: Arc::new(Plan::of(&job)),
             job: Arc::new(job),
             completion: Completion::with_hook(state, on_resolve),
-            failure: JobFailure::new(),
+            failure: Arc::new(OnceLock::new()),
             blocks_remaining: self.shared.store.num_blocks(),
             segments_done: 0,
             blocks_seen: 0,
@@ -1197,7 +1182,7 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
         // panic message — while everyone else keeps scanning.
         let mut i = 0;
         while i < active.len() {
-            if active[i].failure.failed() {
+            if let Some(error) = active[i].failure.get().cloned() {
                 let failed = active.swap_remove(i);
                 for slot in slots.iter() {
                     slot.lock().retain(|(id, _)| *id != failed.id);
@@ -1206,9 +1191,7 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
                     o.jobs_quarantined.inc();
                     o.tracer().instant("quarantine", Ids::job(failed.id));
                 }
-                failed
-                    .completion
-                    .publish(Err(JobError::Panicked(failed.failure.message())));
+                failed.completion.publish(Err(error));
             } else {
                 i += 1;
             }
@@ -1304,9 +1287,9 @@ struct SegClaims {
 
 /// Scan one segment once, running every active job's map over each block
 /// on the persistent scan pool (the cooperative path: a shared
-/// [`WorkProgress`] claim cursor, no retry). Jobs declaring
-/// [`map_is_per_token`](MapReduceJob::map_is_per_token) share one
-/// tokenization of each block. Each job's work on each block runs under
+/// [`WorkProgress`] claim cursor, no retry). Jobs whose plan routes tokens
+/// share one token-start scan of each block, indexed by the prefixes their
+/// plans copied at submission. Each job's work on each block runs under
 /// `catch_unwind`, so a panicking map marks **that job** failed and the
 /// scan continues for the rest. `limits[pos]` is the first block index
 /// job `pos` must *not* see (its revolution ends inside this segment).
@@ -1335,7 +1318,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
     // fast path takes zero claim coordination.
     let solo = fan_out == 1;
     let progress = WorkProgress::new(nblocks);
-    let fan = RiderIndex::over(active.iter().map(|a| &*a.job));
+    let fan = RiderIndex::over(active.iter().map(|a| &*a.plan));
 
     pool.broadcast(fan_out, &|wi| {
         let mut claims = if solo {
@@ -1352,7 +1335,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                 if let Some(p) = slot.iter().position(|(id, _)| *id == a.id) {
                     p
                 } else {
-                    slot.push((a.id, JobPartial::new(&*a.job, shared.nshards)));
+                    slot.push((a.id, JobPartial::new(&a.plan, shared.nshards)));
                     slot.len() - 1
                 }
             })
@@ -1374,7 +1357,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                 if idx >= limits[pos] {
                     continue;
                 }
-                if a.failure.failed() {
+                if a.failure.get().is_some() {
                     continue;
                 }
                 let job = &*a.job;
@@ -1392,7 +1375,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                     scan_block_for_job(job, block, &fan, &sel, pos, partial);
                 }));
                 if let Err(p) = result {
-                    a.failure.record(p);
+                    record(&a.failure, p);
                 }
             }
             if !solo {
@@ -1441,6 +1424,7 @@ fn claim_word(wi: usize, now_us: u64) -> u64 {
 struct SegJob<J: MapReduceJob> {
     id: u64,
     job: Arc<J>,
+    plan: Arc<Plan>,
     failure: Arc<JobFailure>,
     segments_done: u64,
     /// First block index this job must *not* see (its revolution ends
@@ -1594,12 +1578,13 @@ fn scan_segment_resilient<J: MapReduceJob + 'static>(
             .map(|(a, &limit)| SegJob {
                 id: a.id,
                 job: Arc::clone(&a.job),
+                plan: Arc::clone(&a.plan),
                 failure: Arc::clone(&a.failure),
                 segments_done: a.segments_done,
                 limit,
             })
             .collect(),
-        fan: RiderIndex::over(active.iter().map(|a| &*a.job)),
+        fan: RiderIndex::over(active.iter().map(|a| &*a.plan)),
         progress: WorkProgress::new(nblocks),
         tasks: (0..nblocks)
             .map(|_| BlockTask {
@@ -1702,12 +1687,12 @@ fn seg_worker<J: MapReduceJob + 'static>(run: Arc<SegmentRun<J>>, wi: usize) {
 fn fire_armed_map_panics<J: MapReduceJob + 'static>(run: &SegmentRun<J>) {
     let Some(f) = &run.shared.faults else { return };
     for sj in &run.jobs {
-        if !sj.failure.failed() && f.panics_map(sj.id, sj.segments_done) {
+        if sj.failure.get().is_none() && f.panics_map(sj.id, sj.segments_done) {
             let payload = catch_unwind(AssertUnwindSafe(|| -> () {
                 panic!("injected map panic (job {})", sj.id)
             }))
             .unwrap_err();
-            sj.failure.record(payload);
+            record(&sj.failure, payload);
         }
     }
 }
@@ -1823,19 +1808,19 @@ fn process_block<J: MapReduceJob + 'static>(
             out.push(None);
             continue;
         }
-        if sj.failure.failed() {
+        if sj.failure.get().is_some() {
             out.push(None);
             continue;
         }
         let job = &*sj.job;
-        let mut partial = JobPartial::new(job, run.shared.nshards);
+        let mut partial = JobPartial::new(&sj.plan, run.shared.nshards);
         let result = catch_unwind(AssertUnwindSafe(|| {
             scan_block_for_job(job, block, &run.fan, sel, pos, &mut partial);
         }));
         match result {
             Ok(()) => out.push(Some(partial)),
             Err(p) => {
-                sj.failure.record(p);
+                record(&sj.failure, p);
                 out.push(None);
             }
         }
@@ -1853,13 +1838,13 @@ fn merge_locals<J: MapReduceJob + 'static>(
     let mut slot = run.slots[wi].lock();
     for (sj, local) in run.jobs.iter().zip(locals) {
         let Some(local) = local else { continue };
-        if sj.failure.failed() {
+        if sj.failure.get().is_some() {
             continue;
         }
         let p = match slot.iter().position(|(id, _)| *id == sj.id) {
             Some(p) => p,
             None => {
-                slot.push((sj.id, JobPartial::new(&*sj.job, run.shared.nshards)));
+                slot.push((sj.id, JobPartial::new(&sj.plan, run.shared.nshards)));
                 slot.len() - 1
             }
         };
@@ -1867,7 +1852,7 @@ fn merge_locals<J: MapReduceJob + 'static>(
         entry.emitted += local.emitted;
         let result = catch_unwind(AssertUnwindSafe(|| entry.acc.merge(&*sj.job, local.acc)));
         if let Err(p) = result {
-            sj.failure.record(p);
+            record(&sj.failure, p);
         }
     }
 }
@@ -1875,6 +1860,7 @@ fn merge_locals<J: MapReduceJob + 'static>(
 /// Finalization context shared by one finished job's reduce-pool tasks.
 struct FinishCtx<J: MapReduceJob> {
     job: Arc<J>,
+    plan: Arc<Plan>,
     job_id: u64,
     submitted_us: u64,
     completion: Completion<J::K, J::Out>,
@@ -1912,30 +1898,23 @@ fn finish_job<J: MapReduceJob + 'static>(
     let mut partials: Vec<JobAcc<J>> = Vec::new();
     let mut map_output_records = 0u64;
     let mut distinct_fold_keys = 0u64;
-    let mut folded = false;
     for slot in slots {
         let mut slot = slot.lock();
         if let Some(p) = slot.iter().position(|(id, _)| *id == job.id) {
             let (_, partial) = slot.swap_remove(p);
             map_output_records += partial.emitted;
-            match &partial.acc {
-                JobAcc::Fold(m) => {
-                    distinct_fold_keys += m.len() as u64;
-                    folded = true;
-                }
-                JobAcc::Tok(m) => {
-                    distinct_fold_keys += m.len() as u64;
-                    folded = true;
-                }
-                JobAcc::Grouped(_) => {}
-            }
+            distinct_fold_keys += match &partial.acc {
+                JobAcc::Fold(m) => m.len(),
+                JobAcc::Tok(m) => m.len(),
+                JobAcc::Grouped(_) => 0,
+            } as u64;
             partials.push(partial.acc);
         }
     }
     let obs = shared.obs.clone();
     if let Some(o) = &obs {
         o.map_records.add(map_output_records);
-        if folded {
+        if job.plan.folds() {
             // A fold combiner collapses every repeat of a key into the
             // worker's single accumulator, so hits are simply the emitted
             // records the accumulators absorbed: emitted − distinct keys.
@@ -1948,6 +1927,7 @@ fn finish_job<J: MapReduceJob + 'static>(
     let nbins = shared.nshards;
     let ctx = Arc::new(FinishCtx {
         job: job.job,
+        plan: job.plan,
         job_id: job.id,
         submitted_us: job.submitted_us,
         completion: job.completion,
@@ -1989,7 +1969,7 @@ fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nbins: usize) -
         return false;
     }
     let partials = std::mem::take(&mut st.partials);
-    let (buckets, bin_records) = split_into_bins(&*ctx.job, partials, nbins);
+    let (buckets, bin_records) = split_into_bins(&*ctx.job, &ctx.plan, partials, nbins);
     st.buckets = buckets.into_iter().map(Some).collect();
     st.bin_records = bin_records;
     st.sharded = true;
@@ -2033,7 +2013,7 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
             }
         }
         Ok(false) => {}
-        Err(p) => ctx.failure.record(p),
+        Err(p) => record(&ctx.failure, p),
     }
     let shard_t0 = ctx.obs.as_ref().map(|o| o.tracer().now_us());
     // A panicking combine/reduce fails this job alone: the shard still
@@ -2042,7 +2022,7 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
     let part = match catch_unwind(AssertUnwindSafe(|| finish_shard_inner(&ctx, s))) {
         Ok(part) => part,
         Err(p) => {
-            ctx.failure.record(p);
+            record(&ctx.failure, p);
             Vec::new()
         }
     };
@@ -2066,13 +2046,12 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
 
     if ctx.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
         // Last shard to finish merges and publishes.
-        if ctx.failure.failed() {
+        if let Some(error) = ctx.failure.get() {
             if let Some(o) = &ctx.obs {
                 o.jobs_quarantined.inc();
                 o.tracer().instant("quarantine", Ids::job(ctx.job_id));
             }
-            ctx.completion
-                .publish(Err(JobError::Panicked(ctx.failure.message())));
+            ctx.completion.publish(Err(error.clone()));
             return;
         }
         // The serial tail of the reduce: concatenate, build, wake.

@@ -191,6 +191,10 @@ pub enum JobError {
     /// once published it is the job's final outcome even if stray segment
     /// work for it was still in flight when the deadline hit.
     DeadlineExpired,
+    /// The job declared a fold combiner in its [`JobShape`], but its
+    /// [`combine_fold`](MapReduceJob::combine_fold) handed a value back
+    /// instead of folding it. The job was quarantined like a panicking one.
+    FoldRefused,
 }
 
 impl std::fmt::Display for JobError {
@@ -203,6 +207,9 @@ impl std::fmt::Display for JobError {
             }
             JobError::DeadlineExpired => {
                 write!(f, "job deadline expired before its revolution completed")
+            }
+            JobError::FoldRefused => {
+                write!(f, "job declared a fold combiner but combine_fold handed a value back")
             }
         }
     }
@@ -244,8 +251,7 @@ pub trait MapReduceJob: Send + Sync {
     /// every existing job keeps working; lines that are not valid UTF-8 are
     /// converted lossily (each invalid sequence becomes U+FFFD) rather than
     /// panicking. Jobs on the hot path should override this (or
-    /// [`map_token_bytes`](Self::map_token_bytes)) to parse the slice
-    /// directly.
+    /// [`map_token`](Self::map_token)) to parse the slice directly.
     fn map_bytes(&self, line: &[u8], emit: &mut dyn FnMut(Self::K, Self::V)) {
         match std::str::from_utf8(line) {
             Ok(s) => self.map(s, emit),
@@ -270,118 +276,127 @@ pub trait MapReduceJob: Send + Sync {
     /// `None` suppresses the key from the output.
     fn reduce(&self, key: &Self::K, values: &[Self::V]) -> Option<Self::Out>;
 
-    /// Declare that [`combine`](Self::combine) is a streaming **fold**: it
-    /// merges any run of values into exactly one value via an associative,
-    /// commutative pairwise merge ([`combine_fold`](Self::combine_fold)),
-    /// independent of the key grouping the engine chose.
-    ///
-    /// Fold-declared jobs let the engines keep **one accumulator per key**
-    /// on the map path (and in the shared-scan server's persistent worker
-    /// state) instead of buffering a `Vec<V>` per key and combining later —
-    /// no per-value allocation, no deferred combine pass. Outputs must be
-    /// identical either way; the equivalence tests enforce it.
-    fn combine_is_fold(&self) -> bool {
-        false
+    /// How the job reads the scan. The default, [`JobShape::Line`], promises
+    /// nothing and runs only [`map_bytes`](Self::map_bytes),
+    /// [`combine`](Self::combine) and [`reduce`](Self::reduce). The engine
+    /// asks once per submission and plans the job's route, sink and
+    /// accumulator from the answer.
+    fn shape(&self) -> JobShape<'_> {
+        JobShape::Line
     }
 
-    /// Pairwise merge used when [`combine_is_fold`](Self::combine_is_fold)
-    /// is true: fold `next` into `acc`. Must agree with
+    /// Pairwise merge of a fold-declared job ([`JobShape::LineFold`],
+    /// [`JobShape::TokenFold`], [`JobShape::TokenIdentity`]): fold `next`
+    /// into `acc` and return `None`. Must agree with
     /// [`combine`](Self::combine) (`combine(k, vec![a, b]) ==
     /// vec![fold(a, b)]`) and be associative and commutative, because the
     /// engines fold in scan order, which varies with threading.
-    fn combine_fold(&self, _acc: &mut Self::V, _next: Self::V) {
-        unimplemented!("combine_fold requires combine_is_fold() == true")
+    ///
+    /// The default cannot fold and hands `next` back. A fold-declared job
+    /// that hands a value back fails with [`JobError::FoldRefused`].
+    fn combine_fold(&self, _acc: &mut Self::V, next: Self::V) -> Option<Self::V> {
+        Some(next)
     }
 
-    /// Declare that [`map`](Self::map) is equivalent to running
-    /// [`map_token`](Self::map_token) over each whitespace token of the
-    /// line. Shared scans (merged runs and the scan server) then tokenize
-    /// each line **once for all jobs** instead of once per job — sharing
-    /// the parse, not just the read, which is where the scan time goes
-    /// once I/O is shared.
-    fn map_is_per_token(&self) -> bool {
-        false
-    }
-
-    /// Per-token map used when [`map_is_per_token`](Self::map_is_per_token)
-    /// is true. Must agree with [`map`](Self::map):
+    /// Map one whitespace-free token of a per-token job
+    /// ([`JobShape::Token`], [`JobShape::TokenFold`]), handed out as a
+    /// borrowed slice of the block. Must agree with [`map`](Self::map):
     /// `map(line)` ≡ `line.split_whitespace().for_each(|t| map_token(t))`.
-    fn map_token(&self, _token: &str, _emit: &mut dyn FnMut(Self::K, Self::V)) {
-        unimplemented!("map_token requires map_is_per_token() == true")
+    /// The default maps the token as a line of one token, which that
+    /// contract makes equal.
+    fn map_token(&self, token: &[u8], emit: &mut dyn FnMut(Self::K, Self::V)) {
+        self.map_bytes(token, emit)
     }
 
-    /// Byte-level [`map_token`](Self::map_token): map one whitespace-free
-    /// token handed out as a borrowed slice of the block.
-    ///
-    /// Default: lossy UTF-8 conversion then [`map_token`](Self::map_token).
-    /// Only meaningful when [`map_is_per_token`](Self::map_is_per_token) is
-    /// true.
-    fn map_token_bytes(&self, token: &[u8], emit: &mut dyn FnMut(Self::K, Self::V)) {
-        match std::str::from_utf8(token) {
-            Ok(s) => self.map_token(s, emit),
-            Err(_) => self.map_token(&String::from_utf8_lossy(token), emit),
-        }
+    /// The value a token contributes to a [`JobShape::TokenIdentity`] job,
+    /// or `None` if the token is filtered out. Must agree with
+    /// [`map_token`](Self::map_token), which is also the default: the value
+    /// of the pair it emits.
+    fn token_value(&self, token: &[u8]) -> Option<Self::V> {
+        let mut value = None;
+        self.map_token(token, &mut |_, v| value = Some(v));
+        value
     }
 
-    /// Declare a **necessary token prefix**: every token for which
-    /// [`map_token_bytes`](Self::map_token_bytes) emits a pair (or
-    /// [`token_value`](Self::token_value) returns `Some`) starts with these
-    /// bytes. The default, the empty prefix, promises nothing. Only
-    /// meaningful when [`map_is_per_token`](Self::map_is_per_token) is true.
-    ///
-    /// The promise is one-sided — necessary, not sufficient. The shared
-    /// scan's fan-out kernel looks the prefixes of all co-riding jobs up in
-    /// one bit-parallel index per token and hands each job only the tokens
-    /// that could match; every such candidate is still confirmed by the
-    /// job's own map code, so a prefix that is too *weak* (shorter than the
-    /// real filter, or empty) costs time, never correctness. The value must
-    /// not change while the job is running.
-    ///
-    /// A prefix that is too *strong* is a bug in the job: tokens the index
-    /// rejects never reach the map code, so their records would be missing
-    /// from the output. Builds with `debug_assertions` catch it — the
-    /// kernel also runs the job on every rejected token and panics
-    /// (failing that job alone on a server) if one emits. Release builds do
-    /// not pay for the check and **silently drop** those records. The
-    /// reference ([`crate::run_job_legacy`]) never consults the prefix.
-    fn token_prefix(&self) -> &[u8] {
-        b""
+    /// The key of a [`JobShape::TokenIdentity`] job's token, built once per
+    /// distinct token at flush time. Must agree with
+    /// [`map_token`](Self::map_token), which is also the default: the key of
+    /// the pair it emits. `None` drops the token, as `map` does for a token
+    /// it emits nothing for.
+    fn token_key(&self, token: &[u8]) -> Option<Self::K> {
+        let mut key = None;
+        self.map_token(token, &mut |k, _| key = Some(k));
+        key
     }
+}
 
-    /// Declare the **token-identity fast path**: the job is per-token
-    /// ([`map_is_per_token`](Self::map_is_per_token)), fold-combining
-    /// ([`combine_is_fold`](Self::combine_is_fold)), and for every token
-    /// emits at most one pair whose key is a pure function of the token
-    /// bytes — i.e. `map_token_bytes(t)` ≡
-    /// `if let Some(v) = token_value(t) { emit(token_key(t), v) }`.
+/// How a job reads the scan, declared once by [`MapReduceJob::shape`]. Each
+/// variant is one valid combination of map granularity and combiner, so a
+/// job cannot declare one the engine would have to reject.
+///
+/// Fold variants let the engines keep **one accumulator per key** on the
+/// map path instead of buffering a `Vec<V>` per key; token variants let a
+/// shared scan find each block's tokens **once for all jobs** and index the
+/// jobs' prefixes. Outputs are identical either way.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum JobShape<'a> {
+    /// [`map_bytes`](MapReduceJob::map_bytes) per line, every value kept
+    /// for [`combine`](MapReduceJob::combine).
+    #[default]
+    Line,
+    /// [`map_bytes`](MapReduceJob::map_bytes) per line, values folded per
+    /// key with [`combine_fold`](MapReduceJob::combine_fold).
+    LineFold,
+    /// [`map_token`](MapReduceJob::map_token) per token, every value kept.
+    Token {
+        /// See [`JobShape::TokenIdentity::prefix`].
+        prefix: &'a [u8],
+    },
+    /// [`map_token`](MapReduceJob::map_token) per token, values folded per
+    /// key with [`combine_fold`](MapReduceJob::combine_fold).
+    TokenFold {
+        /// See [`JobShape::TokenIdentity::prefix`].
+        prefix: &'a [u8],
+    },
+    /// The **token-identity fast path**: per token, fold-combining, and
+    /// for every token at most one pair whose key is a pure function of the
+    /// token bytes, i.e. `map_token(t)` ≡
+    /// `if let (Some(k), Some(v)) = (token_key(t), token_value(t)) { emit(k, v) }`.
     ///
-    /// Engines then run the map phase through a per-worker byte-keyed arena
+    /// Engines run the map phase through a per-worker byte-keyed arena
     /// ([`crate::TokenMap`]): values fold under the raw token bytes, and
-    /// [`token_key`](Self::token_key) materializes each **distinct** token's
-    /// key exactly once at flush time — instead of once per occurrence. This
-    /// is what removes the per-occurrence `String` allocation from
-    /// wordcount-style jobs.
-    fn map_emits_token(&self) -> bool {
-        false
-    }
-
-    /// The value this token contributes, or `None` if the token is filtered
-    /// out. Required when [`map_emits_token`](Self::map_emits_token) is true.
-    fn token_value(&self, _token: &[u8]) -> Option<Self::V> {
-        unimplemented!("token_value requires map_emits_token() == true")
-    }
-
-    /// The key for a token, built once per distinct token at flush time.
-    /// Required when [`map_emits_token`](Self::map_emits_token) is true.
-    /// Must agree with the key [`map_token`](Self::map_token) emits.
-    fn token_key(&self, _token: &[u8]) -> Self::K {
-        unimplemented!("token_key requires map_emits_token() == true")
-    }
+    /// [`token_key`](MapReduceJob::token_key) materializes each
+    /// **distinct** token's key exactly once at flush time instead of once
+    /// per occurrence.
+    TokenIdentity {
+        /// A **necessary token prefix**: every token for which the job
+        /// emits a pair starts with these bytes. The empty prefix promises
+        /// nothing.
+        ///
+        /// The promise is one-sided — necessary, not sufficient. The shared
+        /// scan's fan-out kernel looks the prefixes of all co-riding jobs
+        /// up in one bit-parallel index per token and hands each job only
+        /// the tokens that could match; every such candidate is still
+        /// confirmed by the job's own map code, so a prefix that is too
+        /// *weak* (shorter than the real filter, or empty) costs time,
+        /// never correctness. The engine copies the prefix when the job is
+        /// submitted, so it cannot change while the job runs.
+        ///
+        /// A prefix that is too *strong* is a bug in the job: tokens the
+        /// index rejects never reach the map code, so their records would
+        /// be missing from the output. Builds with `debug_assertions` catch
+        /// it — the kernel also runs the job on every rejected token and
+        /// panics (failing that job alone on a server) if one emits.
+        /// Release builds do not pay for the check and **silently drop**
+        /// those records. The reference ([`crate::run_job_legacy`]) never
+        /// consults the prefix.
+        prefix: &'a [u8],
+    },
 }
 
 #[cfg(test)]
 pub(crate) mod test_jobs {
-    use super::MapReduceJob;
+    use super::{JobShape, MapReduceJob};
 
     /// Count words that start with a given prefix — the paper's modified
     /// wordcount ("count only the words that match a user-specified
@@ -411,38 +426,15 @@ pub(crate) mod test_jobs {
             Some(values.iter().sum())
         }
 
-        fn combine_is_fold(&self) -> bool {
-            true
-        }
-
-        fn combine_fold(&self, acc: &mut i64, next: i64) {
-            *acc += next;
-        }
-
-        fn map_is_per_token(&self) -> bool {
-            true
-        }
-
-        fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-            if token.starts_with(&self.prefix) {
-                emit(token.to_string(), 1);
+        fn shape(&self) -> JobShape<'_> {
+            JobShape::TokenIdentity {
+                prefix: self.prefix.as_bytes(),
             }
         }
 
-        fn map_emits_token(&self) -> bool {
-            true
-        }
-
-        fn token_value(&self, token: &[u8]) -> Option<i64> {
-            token.starts_with(self.prefix.as_bytes()).then_some(1)
-        }
-
-        fn token_key(&self, token: &[u8]) -> String {
-            String::from_utf8_lossy(token).into_owned()
-        }
-
-        fn token_prefix(&self) -> &[u8] {
-            self.prefix.as_bytes()
+        fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
+            *acc += next;
+            None
         }
     }
 }

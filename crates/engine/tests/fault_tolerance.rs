@@ -15,7 +15,7 @@
 
 use s3_engine::{
     run_job, AdaptiveConfig, BlockStore, EngineChaosConfig, EngineFault, ExecConfig, FaultPlan,
-    FtConfig, JobError, MapReduceJob, Obs, ServerConfig, SharedScanServer,
+    FtConfig, JobError, JobShape, MapReduceJob, Obs, ServerConfig, SharedScanServer,
 };
 use std::time::Duration;
 
@@ -39,18 +39,16 @@ impl MapReduceJob for Count {
     fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
         Some(v.iter().sum())
     }
-    fn combine_is_fold(&self) -> bool {
-        true
+    fn shape(&self) -> JobShape<'_> {
+        JobShape::TokenFold { prefix: b"" }
     }
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
         *acc += next;
+        None
     }
-    fn map_is_per_token(&self) -> bool {
-        true
-    }
-    fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-        if token.starts_with(&self.0) {
-            emit(token.to_string(), 1);
+    fn map_token(&self, token: &[u8], emit: &mut dyn FnMut(String, i64)) {
+        if token.starts_with(self.0.as_bytes()) {
+            emit(String::from_utf8_lossy(token).into_owned(), 1);
         }
     }
 }

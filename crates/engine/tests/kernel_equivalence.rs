@@ -1,192 +1,19 @@
-//! The zero-copy kernel scan is **byte-identical** to the sequential `&str`
-//! reference ([`run_job_legacy`]) — same records, same stats — across
-//! thread counts 1..=16, the batch front and the shared-scan server,
-//! adaptive segment sizing on and off, and corpora stressing the
-//! tokenizer's edge cases: empty lines, trailing newlines, CR-LF endings,
-//! tabs, and multi-space runs.
-//!
-//! The second half is the fan-out kernel's contract: riders that declare a
-//! [`MapReduceJob::token_prefix`] are indexed, and the indexed scan equals
-//! the unindexed reference for arbitrary bytes, block cuts, patterns and
+//! The fan-out kernel's contract: riders that declare a prefix in their
+//! [`JobShape`] are indexed, and the indexed scan is **byte-identical** to
+//! the sequential `&str` reference (`run_job_legacy`) — same records,
+//! same stats — for arbitrary bytes, block cuts, patterns, rider shapes and
 //! rider counts on every executor. A rider that lies about its prefix or
 //! panics on a token is a targeted test of the differential harness
-//! (`tests/differential.rs` at the workspace root).
+//! (`tests/differential.rs` at the workspace root), which also sweeps the
+//! five shapes over corpora stressing the tokenizer's edge cases.
 
 use proptest::prelude::*;
 use s3_engine::{
-    run_job, run_job_legacy, run_merged, run_merged_legacy, AdaptiveConfig, BlockStore, ExecConfig,
-    FtConfig, JobError, MapReduceJob, ServerConfig, SharedScanServer,
+    run_job, run_merged, run_merged_legacy, BlockStore, ExecConfig, FtConfig, JobError, JobShape,
+    MapReduceJob, ServerConfig, SharedScanServer,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-/// Prefix wordcount with every engine path switchable per instance:
-/// buffered vs fold combiner, per-line vs per-token map, and the
-/// token-identity fast path (raw-byte interning). All four must agree.
-#[derive(Clone)]
-struct Wc {
-    prefix: String,
-    fold: bool,
-    token: bool,
-    identity: bool,
-}
-
-impl MapReduceJob for Wc {
-    type K = String;
-    type V = i64;
-    type Out = i64;
-
-    fn map(&self, line: &str, emit: &mut dyn FnMut(String, i64)) {
-        for w in line.split_whitespace() {
-            if w.starts_with(&self.prefix) {
-                emit(w.to_string(), 1);
-            }
-        }
-    }
-
-    fn combine(&self, _k: &String, v: Vec<i64>) -> Vec<i64> {
-        vec![v.iter().sum()]
-    }
-
-    fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
-        Some(v.iter().sum())
-    }
-
-    fn combine_is_fold(&self) -> bool {
-        self.fold
-    }
-
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
-        *acc += next;
-    }
-
-    fn map_is_per_token(&self) -> bool {
-        self.token
-    }
-
-    fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-        if token.starts_with(&self.prefix) {
-            emit(token.to_string(), 1);
-        }
-    }
-
-    fn map_emits_token(&self) -> bool {
-        self.identity
-    }
-
-    fn token_value(&self, token: &[u8]) -> Option<i64> {
-        token.starts_with(self.prefix.as_bytes()).then_some(1)
-    }
-
-    fn token_key(&self, token: &[u8]) -> String {
-        String::from_utf8_lossy(token).into_owned()
-    }
-
-    fn token_prefix(&self) -> &[u8] {
-        self.prefix.as_bytes()
-    }
-}
-
-/// Expand code bytes into a corpus that hits the tokenizer's edge cases:
-/// short colliding words joined by separators including multi-space runs,
-/// tabs, empty lines (`\n\n`), CR-LF endings, and sometimes no trailing
-/// newline at all.
-fn build_corpus(codes: &[u8]) -> String {
-    const WORDS: [&str; 6] = ["a", "ab", "abc", "b", "ba", "cab"];
-    const SEPS: [&str; 8] = [" ", "  ", "   ", "\t", "\n", "\n\n", "\r\n", " \t "];
-    let mut out = String::new();
-    for pair in codes.chunks(2) {
-        out.push_str(WORDS[pair[0] as usize % WORDS.len()]);
-        let sep = pair.get(1).copied().unwrap_or(0);
-        out.push_str(SEPS[sep as usize % SEPS.len()]);
-    }
-    out
-}
-
-fn job_variants(prefix: &str) -> Vec<Wc> {
-    let p = prefix.to_string();
-    vec![
-        Wc { prefix: p.clone(), fold: false, token: false, identity: false },
-        Wc { prefix: p.clone(), fold: true, token: false, identity: false },
-        Wc { prefix: p.clone(), fold: true, token: true, identity: false },
-        Wc { prefix: p, fold: true, token: true, identity: true },
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// `run_job` equals the reference for every job variant, blocking, and
-    /// thread count in 1..=16.
-    #[test]
-    fn run_job_equals_the_reference(
-        codes in prop::collection::vec(0u8..48, 2..160),
-        block_bytes in 4usize..96,
-        threads in prop::sample::select(vec![1usize, 2, 3, 4, 8, 16]),
-        reducers in 1usize..6,
-        prefix in prop::sample::select(vec!["", "a", "ab", "c"]),
-    ) {
-        let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
-        for job in job_variants(prefix) {
-            prop_assert_eq!(run_job(&job, &store, &cfg), run_job_legacy(&job, &store),
-                "fold={} token={} identity={}", job.fold, job.token, job.identity);
-        }
-    }
-
-    /// `run_merged` equals the reference when one batch mixes all four job
-    /// variants over one shared scan.
-    #[test]
-    fn run_merged_equals_the_reference(
-        codes in prop::collection::vec(0u8..48, 2..160),
-        block_bytes in 4usize..96,
-        threads in prop::sample::select(vec![1usize, 2, 4, 16]),
-        reducers in 1usize..6,
-    ) {
-        let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
-        let jobs = job_variants("a");
-        let refs: Vec<&Wc> = jobs.iter().collect();
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
-        let merged = run_merged(&refs, &store, &cfg);
-        let reference = run_merged_legacy(&refs, &store);
-        for ((m, r), job) in merged.iter().zip(&reference).zip(&jobs) {
-            prop_assert_eq!(m, r, "fold={} token={} identity={}", job.fold, job.token, job.identity);
-        }
-    }
-
-    /// The shared-scan server equals the reference — and so every job
-    /// variant equals every other — adaptive sizing on and off.
-    #[test]
-    fn server_equals_the_reference(
-        codes in prop::collection::vec(0u8..48, 2..120),
-        block_bytes in 4usize..64,
-        threads in prop::sample::select(vec![1usize, 2, 4]),
-        adaptive in any::<bool>(),
-    ) {
-        let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
-        let jobs = job_variants("a");
-        let refs: Vec<&Wc> = jobs.iter().collect();
-        let reference = run_merged_legacy(&refs, &store);
-        prop_assert!(reference.iter().all(|r| r.records == reference[0].records));
-
-        let mut cfg = ServerConfig::new(2, threads);
-        if adaptive {
-            cfg.adaptive = AdaptiveConfig {
-                enabled: true,
-                target_cadence: Duration::from_micros(500),
-                min_blocks_per_segment: 1,
-                max_blocks_per_segment: 8,
-            };
-        }
-        let server = SharedScanServer::with_config(store.clone(), cfg);
-        let handles = server.submit_all(jobs.clone());
-        for ((h, r), job) in handles.into_iter().zip(&reference).zip(&jobs) {
-            let out = h.wait().expect("job completes");
-            prop_assert_eq!(&out, r, "fold={} token={} identity={}", job.fold, job.token, job.identity);
-        }
-        server.shutdown();
-    }
-}
 
 /// Which tokens a [`Pat`] rider counts. Only `Prefix` promises anything
 /// about a matching token's leading bytes.
@@ -199,7 +26,7 @@ enum Pattern {
 }
 
 /// How a [`Pat`] rider rides: through the token arena, through
-/// `map_token_bytes` with a fold or a buffering combiner, or line by line
+/// `map_token` with a fold or a buffering combiner, or line by line
 /// (never entering the token kernel), again with either combiner.
 #[derive(Clone, Copy, Debug)]
 enum Shape {
@@ -239,7 +66,7 @@ impl MapReduceJob for Pat {
 
     fn map(&self, line: &str, emit: &mut dyn FnMut(String, i64)) {
         for w in line.split_whitespace() {
-            self.map_token(w, emit);
+            self.map_token(w.as_bytes(), emit);
         }
     }
 
@@ -251,41 +78,39 @@ impl MapReduceJob for Pat {
         Some(v.iter().sum())
     }
 
-    fn combine_is_fold(&self) -> bool {
-        !matches!(self.shape, Shape::TokenBuf | Shape::LineBuf)
-    }
-
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
-        *acc += next;
-    }
-
-    fn map_is_per_token(&self) -> bool {
-        !matches!(self.shape, Shape::Line | Shape::LineBuf)
-    }
-
-    fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-        if self.matches(token.as_bytes()) {
-            emit(token.to_string(), 1);
+    fn shape(&self) -> JobShape<'_> {
+        let prefix = match &self.pattern {
+            Pattern::Prefix(p) => p,
+            _ => &b""[..],
+        };
+        match self.shape {
+            Shape::Identity => JobShape::TokenIdentity { prefix },
+            Shape::TokenFold => JobShape::TokenFold { prefix },
+            Shape::TokenBuf => JobShape::Token { prefix },
+            Shape::Line => JobShape::LineFold,
+            Shape::LineBuf => JobShape::Line,
         }
     }
 
-    fn map_emits_token(&self) -> bool {
-        matches!(self.shape, Shape::Identity)
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
+        *acc += next;
+        None
+    }
+
+    /// Matches the lossy `&str` form of the token, as `map` does.
+    fn map_token(&self, token: &[u8], emit: &mut dyn FnMut(String, i64)) {
+        let token = String::from_utf8_lossy(token);
+        if self.matches(token.as_bytes()) {
+            emit(token.into_owned(), 1);
+        }
     }
 
     fn token_value(&self, token: &[u8]) -> Option<i64> {
         self.matches(token).then_some(1)
     }
 
-    fn token_key(&self, token: &[u8]) -> String {
-        String::from_utf8_lossy(token).into_owned()
-    }
-
-    fn token_prefix(&self) -> &[u8] {
-        match &self.pattern {
-            Pattern::Prefix(p) => p,
-            _ => b"",
-        }
+    fn token_key(&self, token: &[u8]) -> Option<String> {
+        Some(String::from_utf8_lossy(token).into_owned())
     }
 }
 
@@ -436,7 +261,7 @@ proptest! {
                     }
                 }
             }
-            // Line riders and `map_token_bytes` riders see lossy `&str`
+            // Line riders and `map_token` riders see lossy `&str`
             // tokens; only arena riders match on the raw bytes.
             if matches!(job.shape, Shape::Identity) {
                 prop_assert_eq!(&out.records, &want, "{:?}", job);

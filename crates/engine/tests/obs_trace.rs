@@ -5,7 +5,7 @@
 //! segment spans agree with the server's iteration counter, and the
 //! metrics registry totals agree with the server's own counters.
 
-use s3_engine::{BlockStore, MapReduceJob, Obs, ServerConfig, SharedScanServer};
+use s3_engine::{BlockStore, JobShape, MapReduceJob, Obs, ServerConfig, SharedScanServer};
 use s3_obs::chrome::{engine_event_to_chrome, validate_chrome_trace, write_chrome_trace, ChromeEvent};
 use s3_obs::trace::{Event, Phase, NO_ID};
 
@@ -25,11 +25,12 @@ impl MapReduceJob for Count {
     fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
         Some(v.iter().sum())
     }
-    fn combine_is_fold(&self) -> bool {
-        true
+    fn shape(&self) -> JobShape<'_> {
+        JobShape::LineFold
     }
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
         *acc += next;
+        None
     }
 }
 

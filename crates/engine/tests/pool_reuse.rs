@@ -10,7 +10,7 @@
 //!   drains queued finalization work so no submitted job loses its output.
 
 use s3_engine::{
-    run_job, run_merged, BlockStore, ExecConfig, MapReduceJob, SharedScanServer,
+    run_job, run_merged, BlockStore, ExecConfig, JobShape, MapReduceJob, SharedScanServer,
 };
 use std::time::{Duration, Instant};
 
@@ -34,18 +34,16 @@ impl MapReduceJob for Count {
     fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
         Some(v.iter().sum())
     }
-    fn combine_is_fold(&self) -> bool {
-        true
+    fn shape(&self) -> JobShape<'_> {
+        JobShape::TokenFold { prefix: b"" }
     }
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
         *acc += next;
+        None
     }
-    fn map_is_per_token(&self) -> bool {
-        true
-    }
-    fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-        if token.starts_with(&self.0) {
-            emit(token.to_string(), 1);
+    fn map_token(&self, token: &[u8], emit: &mut dyn FnMut(String, i64)) {
+        if token.starts_with(self.0.as_bytes()) {
+            emit(String::from_utf8_lossy(token).into_owned(), 1);
         }
     }
 }
@@ -71,11 +69,12 @@ impl MapReduceJob for Agg {
         }
         Some(v.iter().sum())
     }
-    fn combine_is_fold(&self) -> bool {
-        true
+    fn shape(&self) -> JobShape<'_> {
+        JobShape::LineFold
     }
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
         *acc += next;
+        None
     }
 }
 

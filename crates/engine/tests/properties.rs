@@ -26,49 +26,6 @@ impl MapReduceJob for Prefix {
     }
 }
 
-/// The same prefix count as [`Prefix`], but with the fold-combiner and
-/// per-token map fast paths switchable per instance — so one merged batch
-/// can mix streamed and buffered jobs, exercising both engine paths at
-/// once. Outputs must be identical regardless of the flags.
-struct FlexPrefix {
-    prefix: String,
-    fold: bool,
-    token: bool,
-}
-
-impl MapReduceJob for FlexPrefix {
-    type K = String;
-    type V = i64;
-    type Out = i64;
-    fn map(&self, line: &str, emit: &mut dyn FnMut(String, i64)) {
-        for w in line.split_whitespace() {
-            if w.starts_with(&self.prefix) {
-                emit(w.to_string(), 1);
-            }
-        }
-    }
-    fn combine(&self, _k: &String, v: Vec<i64>) -> Vec<i64> {
-        vec![v.iter().sum()]
-    }
-    fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
-        Some(v.iter().sum())
-    }
-    fn combine_is_fold(&self) -> bool {
-        self.fold
-    }
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
-        *acc += next;
-    }
-    fn map_is_per_token(&self) -> bool {
-        self.token
-    }
-    fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-        if token.starts_with(&self.prefix) {
-            emit(token.to_string(), 1);
-        }
-    }
-}
-
 /// A word strategy over a tiny alphabet so prefixes collide often.
 fn word() -> impl Strategy<Value = String> {
     prop::collection::vec(prop::sample::select(vec!['a', 'b', 'c']), 1..5)
@@ -136,50 +93,6 @@ proptest! {
         let store = BlockStore::from_text(&text, block_bytes);
         let rejoined: Vec<u8> = store.iter().flatten().copied().collect();
         prop_assert_eq!(rejoined, text.into_bytes());
-    }
-
-    /// The fold-combiner / per-token fast paths compute exactly what the
-    /// buffered paths compute, solo and in merged batches that mix
-    /// streamed and buffered jobs.
-    #[test]
-    fn fold_and_token_paths_equal_buffered_paths(
-        text in corpus(),
-        block_bytes in 8usize..256,
-        prefixes in prop::collection::vec(word(), 1..5),
-        flag_bits in 0u32..256,
-        threads in 1usize..5,
-        reducers in 1usize..9,
-    ) {
-        let store = BlockStore::from_text(&text, block_bytes);
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
-        // Two flag bits per job, unpacked from one sampled integer.
-        let flex: Vec<FlexPrefix> = prefixes
-            .iter()
-            .enumerate()
-            .map(|(i, p)| FlexPrefix {
-                prefix: p.clone(),
-                fold: (flag_bits >> (2 * i)) & 1 == 1,
-                token: (flag_bits >> (2 * i + 1)) & 1 == 1,
-            })
-            .collect();
-        // Solo: each flag combination equals the plain buffered job.
-        for job in &flex {
-            let fast = run_job(job, &store, &cfg);
-            let plain = run_job(&Prefix(job.prefix.clone()), &store, &cfg);
-            prop_assert_eq!(&fast.records, &plain.records,
-                "prefix {:?} fold={} token={}", job.prefix, job.fold, job.token);
-            prop_assert_eq!(fast.stats.map_output_records, plain.stats.map_output_records);
-        }
-        // Merged: a batch mixing fold/buffered and token/line jobs still
-        // equals the independent runs.
-        let refs: Vec<&FlexPrefix> = flex.iter().collect();
-        let merged = run_merged(&refs, &store, &cfg);
-        for (job, m) in flex.iter().zip(&merged) {
-            let solo = run_job(&Prefix(job.prefix.clone()), &store, &cfg);
-            prop_assert_eq!(&m.records, &solo.records,
-                "merged prefix {:?} fold={} token={}", job.prefix, job.fold, job.token);
-            prop_assert_eq!(m.stats.map_output_records, solo.stats.map_output_records);
-        }
     }
 
     /// The adaptive shared-scan server computes exactly what a solo run

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use s3_engine::{
     run_job, run_job_legacy, run_merged, BlockStore, ExecConfig, FtConfig, JobError, JobOutput,
-    MapReduceJob, Obs, ServerConfig, SharedScanServer,
+    JobShape, MapReduceJob, Obs, ServerConfig, SharedScanServer,
 };
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -402,27 +402,23 @@ fn panics_on_the_finish_path_fail_only_their_own_job() {
         fn reduce(&self, _k: &String, v: &[i64]) -> Option<i64> {
             Some(v.iter().sum())
         }
-        fn combine_is_fold(&self) -> bool {
-            self.identity
+        fn shape(&self) -> JobShape<'_> {
+            if self.identity {
+                JobShape::TokenIdentity { prefix: b"" }
+            } else {
+                JobShape::Line
+            }
         }
-        fn combine_fold(&self, acc: &mut i64, next: i64) {
+        fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
             *acc += next;
-        }
-        fn map_is_per_token(&self) -> bool {
-            self.identity
-        }
-        fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-            emit(token.to_string(), 1);
-        }
-        fn map_emits_token(&self) -> bool {
-            self.identity
+            None
         }
         fn token_value(&self, _token: &[u8]) -> Option<i64> {
             Some(1)
         }
-        fn token_key(&self, token: &[u8]) -> String {
+        fn token_key(&self, token: &[u8]) -> Option<String> {
             assert!(!(self.armed && token == b"cold"), "flush bomb on cold");
-            String::from_utf8_lossy(token).into_owned()
+            Some(String::from_utf8_lossy(token).into_owned())
         }
     }
 

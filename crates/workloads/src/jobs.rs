@@ -10,7 +10,7 @@
 //!   thresholds make different jobs.
 
 use crate::lineitem::{parse_row_bytes, LineItem};
-use s3_engine::MapReduceJob;
+use s3_engine::{JobShape, MapReduceJob};
 
 /// Which words a [`PatternWordCount`] counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,51 +101,35 @@ impl MapReduceJob for PatternWordCount {
         Some(values.iter().sum())
     }
 
-    fn combine_is_fold(&self) -> bool {
-        true
+    // Token-identity fast path: the engine folds counts under raw token
+    // bytes and builds each distinct word's String exactly once. Only
+    // `Prefix` patterns promise anything about a matching word's leading
+    // bytes.
+    fn shape(&self) -> JobShape<'_> {
+        let prefix = match &self.pattern {
+            WordPattern::Prefix(p) => p.as_bytes(),
+            _ => b"",
+        };
+        JobShape::TokenIdentity { prefix }
     }
 
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
         *acc += next;
+        None
     }
 
-    fn map_is_per_token(&self) -> bool {
-        true
-    }
-
-    fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-        if self.pattern.matches(token) {
-            emit(token.to_string(), 1);
-        }
-    }
-
-    fn map_token_bytes(&self, token: &[u8], emit: &mut dyn FnMut(String, i64)) {
+    fn map_token(&self, token: &[u8], emit: &mut dyn FnMut(String, i64)) {
         if self.pattern.matches_bytes(token) {
             emit(String::from_utf8_lossy(token).into_owned(), 1);
         }
-    }
-
-    // Token-identity fast path: the engine folds counts under raw token
-    // bytes and builds each distinct word's String exactly once.
-    fn map_emits_token(&self) -> bool {
-        true
     }
 
     fn token_value(&self, token: &[u8]) -> Option<i64> {
         self.pattern.matches_bytes(token).then_some(1)
     }
 
-    fn token_key(&self, token: &[u8]) -> String {
-        String::from_utf8_lossy(token).into_owned()
-    }
-
-    // Only `Prefix` patterns promise anything about a matching word's
-    // leading bytes.
-    fn token_prefix(&self) -> &[u8] {
-        match &self.pattern {
-            WordPattern::Prefix(p) => p.as_bytes(),
-            _ => b"",
-        }
+    fn token_key(&self, token: &[u8]) -> Option<String> {
+        Some(String::from_utf8_lossy(token).into_owned())
     }
 }
 
@@ -276,12 +260,13 @@ impl MapReduceJob for GrepJob {
 
     // Grep is line-based (no per-token map), but its count combiner is a
     // streaming fold.
-    fn combine_is_fold(&self) -> bool {
-        true
+    fn shape(&self) -> JobShape<'_> {
+        JobShape::LineFold
     }
 
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
         *acc += next;
+        None
     }
 }
 
@@ -310,26 +295,19 @@ impl MapReduceJob for WordLengthHistogram {
         Some(values.iter().sum())
     }
 
-    fn combine_is_fold(&self) -> bool {
-        true
-    }
-
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
-        *acc += next;
-    }
-
-    fn map_is_per_token(&self) -> bool {
-        true
-    }
-
-    fn map_token(&self, token: &str, emit: &mut dyn FnMut(usize, i64)) {
-        emit(token.len(), 1);
-    }
-
     // No token-identity fast path: the key space (lengths) is far smaller
     // than the token space, so interning every distinct word would cost
     // more than the per-token emit it saves.
-    fn map_token_bytes(&self, token: &[u8], emit: &mut dyn FnMut(usize, i64)) {
+    fn shape(&self) -> JobShape<'_> {
+        JobShape::TokenFold { prefix: b"" }
+    }
+
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
+        *acc += next;
+        None
+    }
+
+    fn map_token(&self, token: &[u8], emit: &mut dyn FnMut(usize, i64)) {
         emit(token.len(), 1);
     }
 }
@@ -547,6 +525,61 @@ mod tests {
         assert_eq!(total, expected);
         // Tiny key space: far fewer keys than tokens.
         assert!(out.records.len() < 30, "{} length buckets", out.records.len());
+    }
+
+    /// Check `job`'s overrides against what its shape lets the engine
+    /// assume, token by token: `map_token` emits what `map` emits for a
+    /// line of that one token; for a token-identity job, `token_value` and
+    /// `token_key` give the pair `map_token` emits (at most one); and a
+    /// fold combiner's `combine_fold` agrees with `combine`.
+    fn check_shape_overrides<J>(job: &J, tokens: &[&str])
+    where
+        J: MapReduceJob<V = i64>,
+        J::K: std::fmt::Debug,
+    {
+        let shape = job.shape();
+        for &token in tokens {
+            let mut by_token = Vec::new();
+            job.map_token(token.as_bytes(), &mut |k, v| by_token.push((k, v)));
+            let mut by_line = Vec::new();
+            job.map(token, &mut |k, v| by_line.push((k, v)));
+            assert!(by_token == by_line, "{token:?}: map_token {by_token:?}, map {by_line:?}");
+            if let JobShape::TokenIdentity { prefix } = shape {
+                assert!(by_token.len() <= 1, "{token:?}: {by_token:?}");
+                assert!(by_token.is_empty() || token.as_bytes().starts_with(prefix));
+                assert_eq!(job.token_value(token.as_bytes()), by_token.first().map(|p| p.1));
+                if let Some((key, _)) = by_token.first() {
+                    assert!(job.token_key(token.as_bytes()).as_ref() == Some(key), "{token:?}");
+                }
+            }
+            for (key, value) in by_token {
+                let mut acc = value;
+                assert_eq!(job.combine_fold(&mut acc, 3), None);
+                assert_eq!(job.combine(&key, vec![value, 3]), vec![acc], "{token:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn workload_overrides_agree_with_their_shapes() {
+        let g = TextGen::new(2000, 1.1);
+        let text = g.generate(&mut SimRng::seed_from_u64(14), 50_000);
+        let tokens: Vec<&str> = text.split_whitespace().collect();
+        let frequent = &g.word(0)[..2.min(g.word(0).len())];
+        for pattern in [
+            WordPattern::All,
+            WordPattern::Prefix(String::new()),
+            WordPattern::Prefix(frequent.into()),
+            WordPattern::Prefix(g.word(5).into()),
+            WordPattern::Contains("a".into()),
+            WordPattern::Length(4),
+        ] {
+            let job = PatternWordCount { pattern };
+            assert!(matches!(job.shape(), JobShape::TokenIdentity { .. }));
+            check_shape_overrides(&job, &tokens);
+        }
+        assert!(matches!(WordLengthHistogram.shape(), JobShape::TokenFold { .. }));
+        check_shape_overrides(&WordLengthHistogram, &tokens);
     }
 
     #[test]

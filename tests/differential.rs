@@ -151,48 +151,40 @@ impl MapReduceJob for Rider {
         (self.shape != Shape::LineWeight || total % 3 != 0).then_some(total)
     }
 
-    fn combine_is_fold(&self) -> bool {
-        matches!(
-            self.shape,
-            Shape::Arena | Shape::TokenFold | Shape::LineFold
-        )
-    }
-
-    fn combine_fold(&self, acc: &mut i64, next: i64) {
-        *acc += next;
-    }
-
-    fn map_is_per_token(&self) -> bool {
-        matches!(
-            self.shape,
-            Shape::Arena | Shape::TokenFold | Shape::TokenBuf
-        )
-    }
-
-    fn map_token(&self, token: &str, emit: &mut dyn FnMut(String, i64)) {
-        if self.matches(token.as_bytes()) {
-            emit(token.to_string(), 1);
+    fn shape(&self) -> s3_engine::JobShape<'_> {
+        use s3_engine::JobShape;
+        let prefix = match (&self.claim, &self.pattern) {
+            (Some(claim), _) => claim,
+            (None, Pattern::Prefix(p)) => p,
+            _ => &b""[..],
+        };
+        match self.shape {
+            Shape::Arena => JobShape::TokenIdentity { prefix },
+            Shape::TokenFold => JobShape::TokenFold { prefix },
+            Shape::TokenBuf => JobShape::Token { prefix },
+            Shape::LineFold => JobShape::LineFold,
+            Shape::LineWeight | Shape::Select(_) => JobShape::Line,
         }
     }
 
-    fn map_emits_token(&self) -> bool {
-        self.shape == Shape::Arena
+    fn combine_fold(&self, acc: &mut i64, next: i64) -> Option<i64> {
+        *acc += next;
+        None
+    }
+
+    fn map_token(&self, token: &[u8], emit: &mut dyn FnMut(String, i64)) {
+        let token = String::from_utf8_lossy(token);
+        if self.matches(token.as_bytes()) {
+            emit(token.into_owned(), 1);
+        }
     }
 
     fn token_value(&self, token: &[u8]) -> Option<i64> {
         self.matches(token).then_some(1)
     }
 
-    fn token_key(&self, token: &[u8]) -> String {
-        String::from_utf8_lossy(token).into_owned()
-    }
-
-    fn token_prefix(&self) -> &[u8] {
-        match (&self.claim, &self.pattern) {
-            (Some(claim), _) => claim,
-            (None, Pattern::Prefix(p)) => p,
-            _ => b"",
-        }
+    fn token_key(&self, token: &[u8]) -> Option<String> {
+        Some(String::from_utf8_lossy(token).into_owned())
     }
 }
 
