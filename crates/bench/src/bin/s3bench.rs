@@ -16,12 +16,6 @@
 //!   1 ms/block straggler, with fixed one-block segments vs adaptive
 //!   sizing (the paper's dynamic sub-job adjustment) that can grow
 //!   segments up to 32 blocks as the measured cadence allows;
-//! - **assisted vs speculative** — the shared workload at four-block
-//!   segments under the same persistent straggler, with the legacy
-//!   deadline-speculation tail vs the work-assisting claim loop (idle
-//!   workers re-execute the uncommitted tail immediately). Reports wall
-//!   time and the `engine.segment_scan_us` tail (p50/p95/max), where the
-//!   assist path's immediate recovery shows up directly.
 //!
 //! ```text
 //! cargo run --release -p s3-bench --bin s3bench -- [--quick] [--out PATH]
@@ -48,10 +42,6 @@ const BLOCKS_PER_SEGMENT: usize = 1;
 const ADAPTIVE_MAX_BPS: usize = 32;
 /// Injected per-block straggler delay for the comparison.
 const STRAGGLER_DELAY_US: u64 = 1_000;
-/// Blocks per segment for the assisted-vs-speculative tail comparison:
-/// multi-block segments, so every segment has an uncommitted tail for the
-/// fast workers to recover.
-const TAIL_BPS: usize = 4;
 /// Zipf exponent for the skewed-reduce regression row. At s = 1.2 over the
 /// [`SKEW_VOCAB`]-word vocabulary the head word alone draws roughly a
 /// quarter of all tokens, so hash partitioning hot-spots whichever shard
@@ -202,70 +192,6 @@ fn bench_straggler(store: &BlockStore, repeats: usize, adaptive: bool) -> f64 {
         })
         .collect();
     median_ms(samples)
-}
-
-/// The shared workload at [`TAIL_BPS`]-block segments under the same
-/// persistent straggler, on the legacy deadline-speculation tail
-/// (`assist: false`) or the work-assisting claim loop (`assist: true`).
-/// Exclusion is disabled so the straggler stays in play for the whole
-/// run — the comparison is about how each mode recovers the tail it
-/// leaves, not about removing it. Returns the median wall time plus the
-/// metrics snapshot of the median run (its `engine.segment_scan_us`
-/// histogram is the segment-tail latency evidence).
-fn bench_tail_recovery(
-    store: &BlockStore,
-    repeats: usize,
-    assist: bool,
-) -> (f64, s3_obs::MetricsSnapshot) {
-    let mut samples: Vec<(f64, s3_obs::MetricsSnapshot)> = (0..repeats)
-        .map(|_| {
-            let mut cfg = ServerConfig::new(TAIL_BPS, THREADS);
-            cfg.obs = Obs::new();
-            cfg.ft = FtConfig {
-                assist,
-                deadline_floor: Duration::from_millis(3),
-                exclusion_threshold: u32::MAX,
-                ..FtConfig::resilient()
-            };
-            cfg.faults = Some(FaultPlan {
-                faults: vec![EngineFault::SlowWorker {
-                    worker: 0,
-                    from_iter: 0,
-                    until_iter: u64::MAX,
-                    delay_us: STRAGGLER_DELAY_US,
-                }],
-            });
-            let obs = cfg.obs.clone();
-            let ms = time_ms(|| {
-                let server = SharedScanServer::with_config(store.clone(), cfg);
-                let handles: Vec<_> = prefixes(SHARED_JOBS)
-                    .into_iter()
-                    .map(|p| server.submit(PatternWordCount::prefix(p)))
-                    .collect();
-                for h in handles {
-                    h.wait().expect("job completed");
-                }
-                server.shutdown();
-            });
-            (ms, obs.snapshot().expect("Obs::new is on"))
-        })
-        .collect();
-    samples.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-    samples.swap_remove(samples.len() / 2)
-}
-
-/// The `engine.segment_scan_us` tail of one tail-recovery run, as JSON.
-fn segment_tail_json(snap: &s3_obs::MetricsSnapshot) -> serde_json::Value {
-    let h = snap
-        .histograms
-        .get("engine.segment_scan_us")
-        .expect("segments were scanned");
-    serde_json::json!({
-        "count": (h.count),
-        "p50": (h.p50),
-        "p95": (h.p95),
-        "max": (h.max),
-    })
 }
 
 /// Word statistics with *no* combiner collapse: every token reaches the
@@ -479,15 +405,6 @@ fn main() {
     eprintln!("  adaptive_straggler    {adaptive_straggler_ms:>10.2} ms");
 
     eprintln!(
-        "s3bench: segment-tail recovery under the same straggler, \
-         bps={TAIL_BPS}: deadline speculation vs work-assist..."
-    );
-    let (speculative_ms, speculative_snap) = bench_tail_recovery(&store, repeats, false);
-    eprintln!("  speculative_tail      {speculative_ms:>10.2} ms");
-    let (assisted_ms, assisted_snap) = bench_tail_recovery(&store, repeats, true);
-    eprintln!("  assisted_tail         {assisted_ms:>10.2} ms");
-
-    eprintln!(
         "s3bench: skewed reduce (Zipf s={SKEW_ZIPF}, no combiner), \
          hash partitioning, {SKEW_THREADS} shards..."
     );
@@ -572,28 +489,6 @@ fn main() {
             "fixed_straggler_ms": fixed_straggler_ms,
             "adaptive_straggler_ms": adaptive_straggler_ms,
             "speedup": (speedup(fixed_straggler_ms, adaptive_straggler_ms)),
-        },
-        "assist_vs_speculative": {
-            "note": "shared revolution under the same persistent straggler at multi-block segments, exclusion off; speculative = legacy EWMA-deadline tail, assisted = idle workers re-execute the uncommitted tail immediately",
-            "straggler_delay_us": STRAGGLER_DELAY_US,
-            "blocks_per_segment": TAIL_BPS,
-            "speculative": {
-                "wall_ms": speculative_ms,
-                "segment_scan_us": (segment_tail_json(&speculative_snap)),
-                "tasks_speculated": (speculative_snap.counter("engine.tasks_speculated")),
-                "speculation_wins": (speculative_snap.counter("engine.speculation_wins")),
-            },
-            "assisted": {
-                "wall_ms": assisted_ms,
-                "segment_scan_us": (segment_tail_json(&assisted_snap)),
-                "blocks_assisted": (assisted_snap.counter("engine.blocks_assisted")),
-                "assist_ratio_bp": (assisted_snap.gauge("engine.assist_ratio")),
-            },
-            "wall_speedup": (speedup(speculative_ms, assisted_ms)),
-            "tail_p95_speedup": (speedup(
-                speculative_snap.histograms["engine.segment_scan_us"].p95,
-                assisted_snap.histograms["engine.segment_scan_us"].p95,
-            )),
         },
         "skew": {
             "note": "word count with no combiner collapse over a Zipf-skewed corpus, hash sharding (the only partitioner); a regression row for the hot shard; reduce wall = first reduce_shard start to last reduce_shard end of the median run",

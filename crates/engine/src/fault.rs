@@ -3,12 +3,12 @@
 //! This is the engine-level analogue of the simulator's periodic slot
 //! checking (`s3-core::s3`) and chaos harness (`s3-cluster::chaos`): the
 //! shared-scan server can be configured to treat segment tasks as
-//! **retryable** — each block claim carries a deadline derived from an
-//! EWMA of recent block-scan times; claims that miss it are speculatively
-//! re-executed on another pool worker with first-result-wins idempotent
-//! commit — and to **exclude** virtual workers that repeatedly miss their
-//! deadlines, readmitting them after a configurable window (the engine's
-//! version of the paper's slow-TaskTracker exclusion, Section IV-D-1).
+//! **retryable** — idle workers re-execute the uncommitted tail with
+//! first-result-wins idempotent commit — and to **exclude** virtual
+//! workers that repeatedly miss their claim deadlines (derived from an
+//! EWMA of recent block-scan times), readmitting them after a
+//! configurable window (the engine's version of the paper's
+//! slow-TaskTracker exclusion, Section IV-D-1).
 //!
 //! [`FaultPlan`] is the injection side: a reproducible set of faults —
 //! slow workers, dropped (lost) block tasks, user-function panics, reduce
@@ -30,21 +30,16 @@ use std::time::Duration;
 /// Fault-tolerance parameters of a [`crate::SharedScanServer`].
 #[derive(Debug, Clone)]
 pub struct FtConfig {
-    /// Run segments as per-block claim/commit tasks with deadline-based
-    /// speculative re-execution (first result wins, idempotent commit).
-    /// Off, segments run as one cooperative broadcast: cheaper per block,
-    /// but a lost or stalled task stalls the whole scan. Panic quarantine
-    /// is always on, independent of this flag.
+    /// Run segments as per-block claim/commit tasks: workers that drain
+    /// the segment's claim cursor immediately **assist** the slow tail,
+    /// re-executing still-uncommitted blocks (first result wins,
+    /// idempotent commit), so a lost or straggling block is recovered in
+    /// block-scan time. Each claim also carries a deadline; a claim that
+    /// misses it charges its owner a miss, and misses drive worker
+    /// exclusion. Off, segments run as one cooperative broadcast: cheaper
+    /// per block, but a lost or stalled task stalls the whole scan. Panic
+    /// quarantine is always on, independent of this flag.
     pub speculation: bool,
-    /// With [`speculation`](FtConfig::speculation) on, workers that drain
-    /// the segment's claim cursor immediately **assist** the slow tail:
-    /// they re-execute still-uncommitted blocks right away (first result
-    /// wins) instead of waiting for an EWMA deadline to expire. Deadline
-    /// expiry remains the crash-recovery fallback and still drives the
-    /// exclusion policy. Off, the tail falls back to pure deadline-based
-    /// speculation (the legacy behavior). Ignored when `speculation` is
-    /// off.
-    pub assist: bool,
     /// Lower bound on a block task's deadline, whatever the EWMA says.
     pub deadline_floor: Duration,
     /// Deadline = max(floor, EWMA of recent block-scan times × this).
@@ -62,7 +57,6 @@ impl Default for FtConfig {
     fn default() -> Self {
         FtConfig {
             speculation: false,
-            assist: true,
             deadline_floor: Duration::from_millis(25),
             deadline_slack: 8.0,
             exclusion_threshold: 2,
@@ -88,7 +82,7 @@ pub enum EngineFault {
     /// Virtual worker `worker` sleeps `delay_us` before scanning each
     /// block it claims during global segment iterations
     /// `[from_iter, until_iter)` — a transient straggler. Under
-    /// speculation this triggers deadline misses, re-execution, and
+    /// speculation this triggers tail re-execution, deadline misses, and
     /// (if it persists) exclusion.
     SlowWorker {
         /// Virtual worker index (broadcast/task slot, `0..num_threads`).

@@ -44,9 +44,9 @@
 //! individual — see [`JobError`]), optionally runs segments as retryable
 //! per-block tasks scheduled by a **work-assisting claim loop** — fresh
 //! claims come off one packed [`WorkProgress`](pool::WorkProgress) atomic
-//! and idle workers immediately re-execute the slow tail, with
-//! deadline-based speculation and slow-worker exclusion kept as the
-//! crash-recovery fallback ([`FtConfig::resilient`]) — and accepts a
+//! and idle workers immediately re-execute the slow tail, while claim
+//! deadlines charge the misses that drive slow-worker exclusion
+//! ([`FtConfig::resilient`]) — and accepts a
 //! seeded [`FaultPlan`] that injects delays, drops, panics, and
 //! coordinator death deterministically — the engine-level mirror of the
 //! simulator's `s3-cluster` chaos harness.

@@ -40,13 +40,11 @@
 //! each, and workers that drain the cursor immediately re-execute the
 //! still-uncommitted tail (first result wins, idempotent commit) instead
 //! of idling — a lost or straggling block is recovered in block-scan time
-//! rather than after an EWMA deadline. The deadline machinery remains as
-//! the crash-recovery fallback (and the sole tail trigger with
-//! [`FtConfig::assist`] off): claims past `max(floor, ewma × slack)` mark
-//! their owner slow, and workers that repeatedly miss deadlines are
-//! excluded for a window of iterations then readmitted — the engine
-//! analogue of the paper's periodic slot checking and slow-TaskTracker
-//! exclusion (Section IV-D).
+//! rather than after an EWMA deadline. The deadline does one job: claims
+//! past `max(floor, ewma × slack)` charge their owner a miss, and workers
+//! that repeatedly miss deadlines are excluded for a window of iterations
+//! then readmitted — the engine analogue of the paper's periodic slot
+//! checking and slow-TaskTracker exclusion (Section IV-D).
 //! If the runtime itself dies (an injected [`FaultPlan`] coordinator kill,
 //! or server shutdown racing a submit), every unresolved handle returns
 //! [`JobError::Aborted`](crate::JobError::Aborted) — a handle never hangs
@@ -105,11 +103,8 @@ struct ServerObs {
     jobs_aborted: Arc<Counter>,
     /// Jobs failed because their deadline passed mid-revolution.
     jobs_expired: Arc<Counter>,
-    /// Tail blocks re-executed by another worker: work-assisting
-    /// re-executions plus legacy deadline speculation.
+    /// Tail blocks re-executed by an assisting worker (attempts).
     tasks_speculated: Arc<Counter>,
-    /// Tail re-executions that won the first-result-wins commit.
-    speculation_wins: Arc<Counter>,
     /// Blocks whose winning commit came from an **assisting** worker — one
     /// that drained the segment's claim cursor and re-executed the slow
     /// tail instead of waiting for a deadline.
@@ -152,8 +147,8 @@ struct ServerObs {
     /// Duration of a completed job's serial tail, on the last shard task:
     /// concatenate the parts, build the output tree, wake the handle.
     publish: Arc<Histogram>,
-    /// Speculative claim → winning commit: how long a lost/stalled block
-    /// took to recover once the deadline flagged it.
+    /// Original claim → assisted winning commit: how long a lost or
+    /// stalled block took to recover.
     recovery_us: Arc<Histogram>,
 }
 
@@ -168,7 +163,6 @@ impl ServerObs {
             jobs_aborted: m.counter("engine.jobs_aborted"),
             jobs_expired: m.counter("engine.jobs_expired"),
             tasks_speculated: m.counter("engine.tasks_speculated"),
-            speculation_wins: m.counter("engine.speculation_wins"),
             blocks_assisted: m.counter("engine.blocks_assisted"),
             workers_excluded: m.counter("engine.workers_excluded"),
             segments: m.counter("engine.segments_scanned"),
@@ -583,7 +577,7 @@ struct ServerShared<J: MapReduceJob> {
     /// scan pool's. Fixed here, at construction, because non-fold jobs
     /// route every emitted record to its shard during the scan.
     nshards: usize,
-    /// EWMA of block-scan time (µs); drives the speculative deadline.
+    /// EWMA of block-scan time (µs); drives the claim deadline.
     ewma_block_us: AtomicU64,
     /// Consecutive deadline misses per virtual worker; reset by an
     /// in-deadline commit, drives exclusion.
@@ -621,7 +615,7 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
     /// telemetry ([`ServerConfig::obs`]: every submit/admission/segment
     /// scan/reduce shard/completion records into the handle's metrics
     /// registry and trace recorder; see the README "Observability" section
-    /// for the instrument and span catalog), speculative execution
+    /// for the instrument and span catalog), the resilient claim loop
     /// ([`FtConfig::resilient`]) and deterministic fault injection
     /// ([`FaultPlan`]).
     ///
@@ -736,8 +730,8 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
     }
 
     /// Total block scans performed so far (a scan shared by k jobs counts
-    /// once — that is the point). Speculative re-executions are not
-    /// counted either; `engine.tasks_speculated` tracks those.
+    /// once — that is the point). Tail re-executions are not counted
+    /// either; `engine.tasks_speculated` tracks those.
     pub fn blocks_scanned(&self) -> u64 {
         self.shared.blocks_scanned.load(Ordering::Relaxed)
     }
@@ -758,8 +752,8 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
     }
 
     /// Blocks whose winning commit came from a work-assisting tail
-    /// re-execution (0 unless [`FtConfig::resilient`] with
-    /// [`assist`](FtConfig::assist) on ever had a slow tail).
+    /// re-execution (0 unless a [`FtConfig::resilient`] server ever had a
+    /// slow or lost tail block).
     pub fn blocks_assisted(&self) -> u64 {
         self.shared.blocks_assisted.load(Ordering::Relaxed)
     }
@@ -944,11 +938,11 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
     // One slot per scan worker: each worker's per-job accumulators persist
     // across every segment of a job's revolution, so there is no
     // merge-into-coordinator step at segment end. Arc'd because the
-    // speculative scan path hands detached (`'static`) tasks to the pool.
+    // resilient scan path hands detached (`'static`) tasks to the pool.
     let slots: Arc<Vec<Mutex<Slot<J>>>> =
         Arc::new((0..num_threads).map(|_| Mutex::new(Vec::new())).collect());
     // Exclusion windows: `Some(iter)` means the worker sits out until that
-    // global iteration (speculative mode only).
+    // global iteration (resilient mode only).
     let mut excluded_until: Vec<Option<u64>> = vec![None; num_threads];
 
     let n = shared.store.num_blocks();
@@ -1420,7 +1414,7 @@ fn claim_word(wi: usize, now_us: u64) -> u64 {
     ((wi as u64 + 1) << 48) | (now_us & TS_MASK)
 }
 
-/// One job's snapshot inside a speculative segment run.
+/// One job's snapshot inside a resilient segment run.
 struct SegJob<J: MapReduceJob> {
     id: u64,
     job: Arc<J>,
@@ -1454,9 +1448,8 @@ struct SegmentRun<J: MapReduceJob> {
     /// without the refresh a revolution-one straggler would be judged
     /// against the floor alone (the cold-start bug); the first committed
     /// block tightens it to `max(floor, ewma * slack)` for every claim
-    /// check that follows. With assist on the deadline no longer gates
-    /// tail re-execution — it only drives the miss accounting that feeds
-    /// worker exclusion.
+    /// check that follows. The deadline never gates tail re-execution —
+    /// it only drives the miss accounting that feeds worker exclusion.
     deadline_us: AtomicU64,
     epoch: Instant,
     done: Mutex<bool>,
@@ -1467,8 +1460,8 @@ struct SegmentRun<J: MapReduceJob> {
 enum BlockAttempt {
     /// Claimed fresh off the segment's cursor.
     Fresh,
-    /// Re-executed from the uncommitted tail (work-assist or legacy
-    /// deadline speculation); carries the claim word being raced.
+    /// Re-executed from the uncommitted tail by an assisting worker;
+    /// carries the claim word being raced.
     Reexec(u64),
 }
 
@@ -1480,16 +1473,12 @@ impl<J: MapReduceJob> SegmentRun<J> {
     /// Pick an uncommitted tail block for an idle worker to re-execute, or
     /// `None` if nothing is eligible right now.
     ///
-    /// Work-assisting mode (`ft.assist`): any claimed, uncommitted block
-    /// qualifies immediately — the idle worker races the original owner,
-    /// first result wins. The deadline is still consulted, but only for
-    /// the exclusion policy: an expired claim marks its owner slow (once
-    /// per expiry, via a CAS restamp of the claim word).
-    ///
-    /// Legacy mode (`assist` off): only claims past the deadline qualify —
-    /// the paper's slot-checking recovery, per block — and the CAS restamp
-    /// doubles as the race guard, so each expiry is speculated once.
-    fn next_tail_block(&self, wi: usize, hint: usize, assist: bool) -> Option<(usize, u64)> {
+    /// Any claimed, uncommitted block qualifies immediately — the idle
+    /// worker races the original owner, first result wins. The deadline is
+    /// consulted only for the exclusion policy: an expired claim charges
+    /// its owner a miss (once per expiry, via a CAS restamp of the claim
+    /// word) — the paper's periodic slot checking, per block.
+    fn next_tail_block(&self, wi: usize, hint: usize) -> Option<(usize, u64)> {
         let n = self.tasks.len();
         let deadline_us = self.deadline_us.load(Ordering::Relaxed);
         for off in 0..n {
@@ -1505,32 +1494,20 @@ impl<J: MapReduceJob> SegmentRun<J> {
                 continue;
             }
             let now = self.now_us();
-            let expired = now.saturating_sub(claim & TS_MASK) > deadline_us;
-            if !assist && !expired {
-                continue;
-            }
-            let restamped = if expired {
-                // One miss per expiry window: whoever restamps the claim
-                // word charges the victim; concurrent racers skip.
-                t.claim
+            let victim = ((claim >> 48) as usize - 1).min(self.shared.misses.len() - 1);
+            // One miss per expiry window: whoever restamps the claim word
+            // charges the victim; concurrent racers skip the charge.
+            if now.saturating_sub(claim & TS_MASK) > deadline_us
+                && t.claim
                     .compare_exchange(claim, claim_word(wi, now), Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
-            } else {
-                false
-            };
-            if !assist && !restamped {
-                continue; // legacy path: the restamp *is* the claim
-            }
-            let victim = ((claim >> 48) as usize - 1).min(self.shared.misses.len() - 1);
-            if restamped {
+            {
                 self.shared.misses[victim].fetch_add(1, Ordering::Relaxed);
             }
             if let Some(o) = &self.shared.obs {
                 o.tasks_speculated.inc();
-                o.tracer().instant(
-                    if assist { "assist" } else { "speculate" },
-                    Ids::seg((self.start + ti) as u64).jobs(victim as u64),
-                );
+                o.tracer()
+                    .instant("assist", Ids::seg((self.start + ti) as u64).jobs(victim as u64));
             }
             return Some((ti, claim));
         }
@@ -1541,8 +1518,7 @@ impl<J: MapReduceJob> SegmentRun<J> {
 /// Scan one segment with retryable per-block tasks: claim → process →
 /// first-result-wins commit. Fresh claims come off one packed
 /// [`WorkProgress`] word; workers that drain it **assist** the slow tail
-/// immediately ([`FtConfig::assist`]) or fall back to deadline-based
-/// speculation. The coordinator waits for every block to **commit**, not
+/// immediately. The coordinator waits for every block to **commit**, not
 /// for every worker to return — a stalled worker never wedges the segment
 /// cadence; its blocks get re-executed and it exits on its own once it
 /// notices the segment is done.
@@ -1627,8 +1603,8 @@ fn scan_segment_resilient<J: MapReduceJob + 'static>(
 }
 
 /// One virtual worker of a resilient segment run: drain fresh claims off
-/// the shared cursor, then work-assist (or deadline-speculate on) the
-/// uncommitted tail until the segment is done.
+/// the shared cursor, then work-assist the uncommitted tail until the
+/// segment is done.
 fn seg_worker<J: MapReduceJob + 'static>(run: Arc<SegmentRun<J>>, wi: usize) {
     let mut sel = Selection::default();
     // Phase A — fresh claims: one fetch_add per block, no CAS loops.
@@ -1648,25 +1624,23 @@ fn seg_worker<J: MapReduceJob + 'static>(run: Arc<SegmentRun<J>>, wi: usize) {
         execute_block(&run, wi, ti, BlockAttempt::Fresh, &mut sel);
     }
     // Phase B — the cursor is dry; only a claimed-but-uncommitted tail can
-    // remain. Assist it immediately, or (legacy mode) wait for deadlines
-    // to expire. Every pass either executes a real block or parks on the
-    // done condvar, so this never busy-spins.
-    let assist = run.shared.ft.assist;
+    // remain. Assist it immediately. Every pass either executes a real
+    // block or parks on the done condvar, so this never busy-spins.
     let mut hint = wi;
     loop {
         if run.progress.is_done() {
             break;
         }
-        match run.next_tail_block(wi, hint, assist) {
+        match run.next_tail_block(wi, hint) {
             Some((ti, claim)) => {
                 hint = ti + 1;
                 execute_block(&run, wi, ti, BlockAttempt::Reexec(claim), &mut sel);
             }
             None => {
-                // Nothing eligible right now: the in-flight owners are
-                // live (or, legacy mode, not yet past deadline) — wait a
-                // beat and re-check. Recomputed each pass because commits
-                // tighten the deadline as the EWMA warms up.
+                // Nothing eligible right now: the in-flight owners have
+                // not stored their claim words yet — wait a beat and
+                // re-check. Recomputed each pass because commits tighten
+                // the deadline as the EWMA warms up.
                 let wait_step = Duration::from_micros(
                     (run.deadline_us.load(Ordering::Relaxed) / 4).clamp(200, 2_000),
                 );
@@ -1699,7 +1673,7 @@ fn fire_armed_map_panics<J: MapReduceJob + 'static>(run: &SegmentRun<J>) {
 
 /// Execute one block attempt end to end: injected delay, map, injected
 /// drop, first-result-wins commit, accumulator merge, EWMA/deadline
-/// refresh, and the win-side accounting for assists and speculation.
+/// refresh, and the win-side accounting for assists.
 fn execute_block<J: MapReduceJob + 'static>(
     run: &Arc<SegmentRun<J>>,
     wi: usize,
@@ -1724,9 +1698,8 @@ fn execute_block<J: MapReduceJob + 'static>(
             if f.drops_task(wi, run.iter) {
                 // A lost task: the work happened but is never committed.
                 // The tail loop — another worker's, or this one's on a
-                // later pass — recovers the block; with assist on it does
-                // so without waiting out a deadline. Recovery works even
-                // with a single worker.
+                // later pass — recovers the block without waiting out a
+                // deadline. Recovery works even with a single worker.
                 return;
             }
         }
@@ -1755,14 +1728,9 @@ fn execute_block<J: MapReduceJob + 'static>(
     );
     match attempt {
         BlockAttempt::Reexec(claim) => {
-            if run.shared.ft.assist {
-                run.shared.blocks_assisted.fetch_add(1, Ordering::Relaxed);
-            }
+            run.shared.blocks_assisted.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = &run.shared.obs {
-                o.speculation_wins.inc();
-                if run.shared.ft.assist {
-                    o.blocks_assisted.inc();
-                }
+                o.blocks_assisted.inc();
                 let recovered_us = now.saturating_sub(claim & TS_MASK);
                 o.recovery_us.record(recovered_us);
                 // Recovered block in `ids.seg`, recovery latency in

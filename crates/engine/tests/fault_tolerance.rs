@@ -4,9 +4,9 @@
 //!   at any segment fails individually, and every surviving job's output
 //!   is byte-identical to running it solo with [`run_job`] — sharing a
 //!   faulty scan never corrupts a healthy rider;
-//! - **speculation**: an injected straggler worker triggers speculative
-//!   re-execution, outputs stay exact (first-result-wins commit), and the
-//!   recovery is visible in the metrics registry;
+//! - **work-assist**: an injected straggler worker's claims are
+//!   re-executed by idle workers, outputs stay exact (first-result-wins
+//!   commit), and the recovery is visible in the metrics registry;
 //! - **shutdown drains handles**: every submitted handle resolves at
 //!   shutdown — with its output when the revolution completed, with
 //!   [`JobError::Aborted`] otherwise — and a handle never hangs, even
@@ -153,9 +153,9 @@ fn panicking_subset_never_corrupts_survivors() {
     }
 }
 
-/// An injected straggler makes its claims miss the deadline: rivals
-/// speculatively re-execute the block, the first result wins, and the
-/// output is still exact. The whole recovery is visible in the metrics.
+/// An injected straggler leaves an uncommitted tail: idle rivals
+/// re-execute its blocks, the first result wins, and the output is still
+/// exact. The whole recovery is visible in the metrics.
 #[test]
 fn straggler_triggers_speculation_with_exact_output() {
     let s = store();
@@ -183,17 +183,17 @@ fn straggler_triggers_speculation_with_exact_output() {
         .submit(Count(String::new()))
         .wait()
         .expect("job completed despite the straggler");
-    assert_eq!(out.records, reference, "speculation must not change output");
+    assert_eq!(out.records, reference, "tail re-execution must not change output");
     server.shutdown();
 
     let snap = obs.snapshot().expect("observed");
     assert!(
         snap.counter("engine.tasks_speculated") > 0,
-        "the straggler's claims must trigger speculation: {:?}",
+        "the straggler's claims must be re-executed: {:?}",
         snap.counters
     );
     assert!(
-        snap.counter("engine.speculation_wins") > 0,
+        snap.counter("engine.blocks_assisted") > 0,
         "some rival re-execution must win: {:?}",
         snap.counters
     );
@@ -201,7 +201,7 @@ fn straggler_triggers_speculation_with_exact_output() {
 }
 
 /// A job whose `map` genuinely takes a while — every call sleeps — so the
-/// speculative path's per-block cost EWMA sees multi-millisecond blocks.
+/// resilient path's per-block cost EWMA sees multi-millisecond blocks.
 struct Sleepy;
 
 impl MapReduceJob for Sleepy {
@@ -219,15 +219,18 @@ impl MapReduceJob for Sleepy {
     }
 }
 
-/// Satellite (b) regression: the speculative deadline must warm up from
-/// the first committed blocks instead of running a whole segment at the
-/// configured floor. Six genuinely-slow blocks (5 ms each) under a 2 ms
-/// floor: with a cold deadline the tail block's claim looks expired the
-/// moment the other worker goes idle, so it gets speculated; with the
-/// warm-up fix the deadline is refreshed to ≈ EWMA × slack (≈ 40 ms)
-/// after the first commit, and no speculation ever fires.
+/// Cold-start regression: a segment's claim deadline must warm up from
+/// its first committed blocks instead of running the whole first segment
+/// at the configured floor. Six genuinely-slow blocks (5 ms each) in two
+/// three-block segments; worker 0 also straggles 10 ms before each block,
+/// so by the time the other worker drains the first segment and assists,
+/// worker 0's claim is ~10 ms old. On the cold 2 ms floor that claim is
+/// charged a miss, and at `exclusion_threshold: 1` the boundary before
+/// the second segment excludes worker 0. With the warm-up, the first
+/// commit refreshes the deadline to ≈ EWMA × slack (≈ 40 ms): no miss,
+/// no exclusion.
 #[test]
-fn warm_deadline_prevents_cold_start_speculation() {
+fn warm_deadline_prevents_cold_start_exclusion() {
     let s = BlockStore::new(
         (0..6)
             .map(|i| format!("word{i} word{i} tail\n"))
@@ -243,20 +246,25 @@ fn warm_deadline_prevents_cold_start_speculation() {
     )
     .records;
 
-    // One segment of all 6 blocks, 2 workers: the segment starts with an
-    // empty EWMA, which is exactly the cold-start window under test.
-    let mut cfg = ServerConfig::new(6, 2);
+    // The first segment starts with an empty EWMA, which is exactly the
+    // cold-start window under test; the boundary after it runs the
+    // exclusion check.
+    let mut cfg = ServerConfig::new(3, 2);
     cfg.obs = Obs::new();
     cfg.ft = FtConfig {
         deadline_floor: Duration::from_millis(2),
         deadline_slack: 8.0,
-        // This test pins the legacy deadline machinery (the crash-recovery
-        // fallback): with work-assisting on, the idle worker re-executes
-        // the healthy-but-slow tail on purpose, which is exactly what
-        // deadline speculation must NOT do.
-        assist: false,
+        exclusion_threshold: 1,
         ..FtConfig::resilient()
     };
+    cfg.faults = Some(FaultPlan {
+        faults: vec![EngineFault::SlowWorker {
+            worker: 0,
+            from_iter: 0,
+            until_iter: u64::MAX,
+            delay_us: 10_000,
+        }],
+    });
     let obs = cfg.obs.clone();
     let server = SharedScanServer::with_config(s, cfg);
     let out = server.submit(Sleepy).wait().expect("job completed");
@@ -265,10 +273,10 @@ fn warm_deadline_prevents_cold_start_speculation() {
 
     let snap = obs.snapshot().expect("observed");
     assert_eq!(
-        snap.counter("engine.tasks_speculated"),
+        snap.counter("engine.workers_excluded"),
         0,
-        "healthy slow blocks must not be speculated once the deadline \
-         warms up from the first commits: {:?}",
+        "a healthy slow block must not cost its owner a deadline miss once \
+         the deadline warms up from the first commits: {:?}",
         snap.counters
     );
 }

@@ -149,69 +149,6 @@ proptest! {
         }
     }
 
-    /// The shared-scan server computes exactly what solo runs compute for
-    /// any corpus, thread count 1..=16, segment size (one block, a few
-    /// blocks, exactly the whole file, more than the whole file), scan
-    /// path (cooperative broadcast vs resilient claim/commit), tail mode
-    /// (work-assist vs legacy deadline speculation), and adaptive sizing
-    /// on or off. This is the byte-identity half of the work-assisting
-    /// proof: however the claim loop interleaves — including solo workers
-    /// taking the coordination-free fast path and degenerate segments
-    /// larger than the file — outputs never move.
-    #[test]
-    fn work_assisting_server_equals_independent(
-        text in corpus(),
-        block_bytes in 8usize..128,
-        prefixes in prop::collection::vec(word(), 1..4),
-        threads in 1usize..17,
-        bps_sel in 0usize..4,
-        speculative in any::<bool>(),
-        assist in any::<bool>(),
-        adaptive in any::<bool>(),
-    ) {
-        use s3_engine::{AdaptiveConfig, FtConfig, ServerConfig, SharedScanServer};
-        use std::time::Duration;
-        let store = BlockStore::from_text(&text, block_bytes);
-        let n = store.num_blocks();
-        let bps = [1, 3.min(n.max(1)), n.max(1), n + 7][bps_sel];
-        let cfg = ExecConfig { num_threads: 1, num_reducers: 3 };
-        let refs: Vec<_> = prefixes
-            .iter()
-            .map(|p| run_job(&Prefix(p.clone()), &store, &cfg).records)
-            .collect();
-
-        let mut scfg = ServerConfig::new(bps, threads);
-        scfg.ft = FtConfig {
-            speculation: speculative,
-            assist,
-            // Tight enough that real interleavings cross it, so the
-            // legacy deadline path actually speculates here too.
-            deadline_floor: Duration::from_millis(1),
-            ..FtConfig::default()
-        };
-        if adaptive {
-            scfg.adaptive = AdaptiveConfig {
-                enabled: true,
-                target_cadence: Duration::from_micros(50),
-                min_blocks_per_segment: 1,
-                max_blocks_per_segment: bps.max(4),
-            };
-        }
-        let server = SharedScanServer::with_config(store, scfg);
-        let handles = server.submit_all(
-            prefixes.iter().map(|p| Prefix(p.clone())).collect(),
-        );
-        for ((h, reference), p) in handles.into_iter().zip(&refs).zip(&prefixes) {
-            let out = h.wait().expect("no faults injected");
-            prop_assert_eq!(
-                &out.records, reference,
-                "prefix {:?} threads {} bps {} spec {} assist {} adaptive {}",
-                p, threads, bps, speculative, assist, adaptive
-            );
-        }
-        server.shutdown();
-    }
-
     /// A prefix job's output is always a sub-multiset of the catch-all
     /// job's output.
     #[test]

@@ -140,8 +140,6 @@ pub struct JobRecord {
     /// Work-assist re-executions during the scan window (server-wide
     /// events inside this job's window: shared, not exclusive).
     pub assists: u64,
-    /// Deadline speculations during the scan window.
-    pub speculations: u64,
     /// Segments the job rode, in scan order.
     pub segments: Vec<SegmentSlice>,
     /// The job's reduce shards.
@@ -186,7 +184,6 @@ impl JobJournal {
         let mut segments: Vec<(u64, u64, u64, u64)> = Vec::new(); // (ts, dur, start, len)
         let mut recoveries: Vec<(u64, u64)> = Vec::new(); // (ts, dur)
         let mut assists: Vec<u64> = Vec::new();
-        let mut speculations: Vec<u64> = Vec::new();
 
         for ev in events {
             match (ev.name, ev.ph) {
@@ -242,7 +239,6 @@ impl JobJournal {
                     recoveries.push((ev.ts_us, ev.ids.n));
                 }
                 ("assist", Phase::Instant) => assists.push(ev.ts_us),
-                ("speculate", Phase::Instant) => speculations.push(ev.ts_us),
                 _ => {}
             }
         }
@@ -338,7 +334,6 @@ impl JobJournal {
                     blocks_covered,
                     blocks_reported: b.blocks_reported,
                     assists: assists.iter().filter(|&&ts| in_scan(ts)).count() as u64,
-                    speculations: speculations.iter().filter(|&&ts| in_scan(ts)).count() as u64,
                     segments: slices,
                     reduce_shards,
                     terminal_events: b.terminals.len() as u64,

@@ -3,7 +3,7 @@
 //! exactly once and committed by exactly one winner — *provably*, from
 //! the drained trace via `check_engine_events` — under seeded
 //! interleaving pressure, panics mid-claim, worker exclusion mid-segment,
-//! and dropped tasks, on both the assisting and the legacy deadline path.
+//! and dropped tasks.
 //!
 //! This is the adversarial counterpart to the byte-identity property in
 //! `tests/differential.rs`: that proves the outputs, these prove the claim
@@ -74,11 +74,10 @@ fn assert_protocol_clean(obs: &Obs, ctx: &str) {
     assert!(violations.is_empty(), "{ctx}: {violations:?}");
 }
 
-/// Tentpole stress: 20 seeded chaos plans across thread counts 1..=8,
-/// segment sizes {1, 2, 3, 5}, and both tail modes (assist / legacy
-/// deadline speculation). Stragglers force long uncommitted tails (the
-/// interleaving pressure), drops lose claimed blocks, and map panics kill
-/// jobs mid-claim — and under all of it every block must be claimed and
+/// Tentpole stress: 20 seeded chaos plans across thread counts 1..=8 and
+/// segment sizes {1, 2, 3, 5}. Stragglers force long uncommitted tails
+/// (the interleaving pressure), drops lose claimed blocks, and map panics
+/// kill jobs mid-claim — and under all of it every block must be claimed and
 /// committed exactly once, doomed jobs must quarantine, and survivors
 /// must stay byte-identical to their solo runs.
 #[test]
@@ -89,7 +88,6 @@ fn seeded_interleaving_stress() {
     for seed in 0u64..20 {
         let threads = 1 + (seed % 8) as usize;
         let bps = [1, 2, 3, 5][(seed / 8) as usize % 4];
-        let assist = seed % 2 == 0;
         let num_segments = s.num_blocks().div_ceil(bps) as u64;
         let chaos = EngineChaosConfig {
             num_workers: threads,
@@ -115,11 +113,10 @@ fn seeded_interleaving_stress() {
 
         let mut cfg = ServerConfig::new(bps, threads);
         cfg.ft = FtConfig {
-            assist,
             deadline_floor: Duration::from_millis(3),
             ..FtConfig::resilient()
         };
-        let ctx = format!("seed {seed} threads {threads} bps {bps} assist {assist}");
+        let ctx = format!("seed {seed} threads {threads} bps {bps}");
         let (outcomes, obs) = run_under_plan(&s, cfg, plan);
 
         for (i, outcome) in outcomes.iter().enumerate() {
@@ -156,32 +153,29 @@ fn panic_mid_claim_commits_exactly_once() {
     let s = store();
     let num_segments = s.num_blocks().div_ceil(2) as u64;
     let reference: Vec<_> = PREFIXES.iter().map(|p| solo(p, &s)).collect();
-    for assist in [false, true] {
-        let mut cfg = ServerConfig::new(2, 4);
-        cfg.ft = FtConfig {
-            assist,
-            deadline_floor: Duration::from_millis(3),
-            ..FtConfig::resilient()
-        };
-        let plan = FaultPlan {
-            faults: vec![EngineFault::PanicMap {
-                job: 2,
-                after_segments: num_segments / 2,
-            }],
-        };
-        let ctx = format!("assist {assist}");
-        let (outcomes, obs) = run_under_plan(&s, cfg, plan);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            if i == 2 {
-                let msg = outcome.as_ref().expect_err("job 2 is doomed");
-                assert!(msg.contains("injected map panic"), "{ctx}: {msg}");
-            } else {
-                let records = outcome.as_ref().expect("survivor");
-                assert_eq!(records, &reference[i], "{ctx}: job {i} differs from solo");
-            }
+    let mut cfg = ServerConfig::new(2, 4);
+    cfg.ft = FtConfig {
+        deadline_floor: Duration::from_millis(3),
+        ..FtConfig::resilient()
+    };
+    let plan = FaultPlan {
+        faults: vec![EngineFault::PanicMap {
+            job: 2,
+            after_segments: num_segments / 2,
+        }],
+    };
+    let ctx = "panic mid-claim";
+    let (outcomes, obs) = run_under_plan(&s, cfg, plan);
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if i == 2 {
+            let msg = outcome.as_ref().expect_err("job 2 is doomed");
+            assert!(msg.contains("injected map panic"), "{ctx}: {msg}");
+        } else {
+            let records = outcome.as_ref().expect("survivor");
+            assert_eq!(records, &reference[i], "{ctx}: job {i} differs from solo");
         }
-        assert_protocol_clean(&obs, &ctx);
     }
+    assert_protocol_clean(&obs, ctx);
 }
 
 /// A persistent straggler gets excluded mid-run (threshold 1), shrinking
@@ -192,56 +186,52 @@ fn exclusion_mid_segment_keeps_exactly_once() {
     let s = store();
     let num_segments = s.num_blocks().div_ceil(3) as u64;
     let references: Vec<_> = PREFIXES.iter().map(|p| solo(p, &s)).collect();
-    for assist in [false, true] {
-        let mut cfg = ServerConfig::new(3, 3);
-        cfg.ft = FtConfig {
-            assist,
-            deadline_floor: Duration::from_millis(2),
-            exclusion_threshold: 1,
-            exclusion_window_iters: 4,
-            ..FtConfig::resilient()
-        };
-        let plan = FaultPlan {
-            faults: vec![EngineFault::SlowWorker {
-                worker: 0,
-                from_iter: 0,
-                until_iter: num_segments,
-                delay_us: 15_000,
-            }],
-        };
-        let ctx = format!("assist {assist}");
-        let (outcomes, obs) = run_under_plan(&s, cfg, plan);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let records = outcome.as_ref().expect("no job is doomed");
-            assert_eq!(records, &references[i], "{ctx}: job {i} differs from solo");
-        }
-        assert_protocol_clean(&obs, &ctx);
-        let snap = obs.snapshot().expect("observed");
-        assert!(
-            snap.counter("engine.workers_excluded") >= 1,
-            "{ctx}: the straggler was never excluded"
-        );
+    let mut cfg = ServerConfig::new(3, 3);
+    cfg.ft = FtConfig {
+        deadline_floor: Duration::from_millis(2),
+        exclusion_threshold: 1,
+        exclusion_window_iters: 4,
+        ..FtConfig::resilient()
+    };
+    let plan = FaultPlan {
+        faults: vec![EngineFault::SlowWorker {
+            worker: 0,
+            from_iter: 0,
+            until_iter: num_segments,
+            delay_us: 15_000,
+        }],
+    };
+    let ctx = "exclusion mid-segment";
+    let (outcomes, obs) = run_under_plan(&s, cfg, plan);
+    for (i, outcome) in outcomes.iter().enumerate() {
+        let records = outcome.as_ref().expect("no job is doomed");
+        assert_eq!(records, &references[i], "{ctx}: job {i} differs from solo");
     }
+    assert_protocol_clean(&obs, ctx);
+    let snap = obs.snapshot().expect("observed");
+    assert!(
+        snap.counter("engine.workers_excluded") >= 1,
+        "{ctx}: the straggler was never excluded"
+    );
 }
 
 /// A dropped (never-committed) block with a deadline far beyond the run's
-/// lifetime: legacy speculation could only recover it by waiting out the
-/// deadline, so recovery here proves the assisting tail re-executed it
-/// immediately — and the win shows up in `engine.blocks_assisted`.
+/// lifetime: recovery here proves the assisting tail re-executed it
+/// immediately, without waiting out a deadline — and the win shows up in
+/// `engine.blocks_assisted`.
 ///
 /// Runs with a single worker on purpose. It makes the drops
 /// deterministic (with multiple workers and microsecond blocks, one
 /// worker can drain every claim before its rivals even wake, so a drop
 /// armed on another worker never fires) and it pins the strongest assist
 /// property: the dropping worker *re-claims its own lost block from the
-/// tail*, which the legacy path could only do after the deadline expired.
+/// tail*, before any deadline could expire.
 #[test]
 fn dropped_block_recovers_through_assist_not_deadlines() {
     let s = store();
     let references: Vec<_> = PREFIXES.iter().map(|p| solo(p, &s)).collect();
     let mut cfg = ServerConfig::new(4, 1);
     cfg.ft = FtConfig {
-        assist: true,
         // No deadline can expire within the test: only assist recovers.
         deadline_floor: Duration::from_secs(600),
         deadline_slack: 1e9,

@@ -215,9 +215,9 @@ enum Bytes {
 #[derive(Clone, Copy, Debug)]
 enum ScanLoop {
     Cooperative,
-    ResilientAssist,
-    /// Resilient, the tail left to deadlines with a 1 ms floor.
-    ResilientDeadline,
+    /// Resilient with this claim-deadline floor: the default, or 1 ms so
+    /// that deadline misses and worker exclusions fire mid-run.
+    Resilient(Duration),
 }
 
 /// One drawn case: a store, its riders and the knobs every front runs at.
@@ -336,8 +336,8 @@ impl Case {
             adaptive: rng.gen_bool(0.5).then(|| rng.gen_range(1..10)),
             scan: [
                 ScanLoop::Cooperative,
-                ScanLoop::ResilientAssist,
-                ScanLoop::ResilientDeadline,
+                ScanLoop::Resilient(FtConfig::resilient().deadline_floor),
+                ScanLoop::Resilient(Duration::from_millis(1)),
             ][rng.gen_range(0..3usize)],
             store,
         }
@@ -400,12 +400,9 @@ impl Case {
         cfg.obs = Obs::new();
         cfg.ft = match self.scan {
             ScanLoop::Cooperative => FtConfig::default(),
-            ScanLoop::ResilientAssist => FtConfig::resilient(),
-            ScanLoop::ResilientDeadline => FtConfig {
-                speculation: true,
-                assist: false,
-                deadline_floor: Duration::from_millis(1),
-                ..FtConfig::default()
+            ScanLoop::Resilient(deadline_floor) => FtConfig {
+                deadline_floor,
+                ..FtConfig::resilient()
             },
         };
         if let Some(max) = self.adaptive {
