@@ -1,10 +1,10 @@
-//! Micro-benchmarks of scheduler-side operations: batch construction,
-//! locality-aware map handout, and segment bookkeeping — the per-heartbeat
-//! costs a real JobTracker plugin would pay.
+//! Micro-benchmarks of scheduler-side operations: batch construction and
+//! locality-aware map handout — the per-heartbeat costs a real JobTracker
+//! plugin would pay.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use s3_cluster::{ClusterTopology, NodeId};
-use s3_dfs::{BlockId, Dfs, RoundRobinPlacement, SegmentId, Segmentation, MB};
+use s3_dfs::{BlockId, Dfs, RoundRobinPlacement, MB};
 use s3_mapreduce::job::{requests_from_arrivals, JobProfile, JobTable};
 use s3_mapreduce::{Batch, BatchKey};
 use s3_sim::SimTime;
@@ -94,32 +94,5 @@ fn bench_batch(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_segmentation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("segmentation");
-    let seg = Segmentation::uniform(2560, 200);
-    g.throughput(Throughput::Elements(2560));
-    g.bench_function("segment_of_all_blocks", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for blk in 0..2560 {
-                acc = acc.wrapping_add(seg.segment_of(blk).0);
-            }
-            acc
-        });
-    });
-    g.bench_function("scan_order_walk", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for start in 0..seg.num_segments() {
-                for s in seg.scan_order(SegmentId(start)) {
-                    acc = acc.wrapping_add(s.0);
-                }
-            }
-            acc
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_batch, bench_segmentation);
+criterion_group!(benches, bench_batch);
 criterion_main!(benches);

@@ -27,8 +27,9 @@
 //! every seed a [`FaultPlan`](s3_engine::FaultPlan) of stragglers, task
 //! drops, map/reduce panics and coordinator death is injected into a live
 //! [`SharedScanServer`](s3_engine::SharedScanServer) running seeded
-//! wordcount jobs, and the run is checked against an exact oracle —
-//! panicked jobs quarantine, killed-coordinator runs abort every
+//! wordcount jobs (on the cooperative scan loop for even seeds, the
+//! resilient one for odd seeds), and the run is checked against an exact
+//! oracle — panicked jobs quarantine, killed-coordinator runs abort every
 //! unresolved handle, every surviving job's output is byte-identical to
 //! running it solo — plus the engine trace invariants
 //! ([`check_engine_events`](s3_mapreduce::check_engine_events)) and a
@@ -58,7 +59,8 @@
 //! [`ScanService`](s3_engine::ScanService): seeded bursts of jobs (mixed
 //! QoS classes, tight deadlines, two tenants) arrive faster than the
 //! service's small admission bounds can drain, while each tenant's server
-//! runs under its own seeded worker fault plan. Every seed must keep the
+//! runs under its own seeded worker fault plan, on the scan loop the
+//! seed's parity picks as above. Every seed must keep the
 //! accounting identity (`submitted == completed + quarantined +
 //! rejected + expired + aborted`, cross-checked against the client's own
 //! tally),
@@ -77,6 +79,7 @@ use s3_core::{
     CapacityScheduler, FairScheduler, FifoScheduler, MRShareScheduler, S3Config, S3Scheduler,
     SubJobSizing,
 };
+use s3_engine::FtConfig;
 use s3_mapreduce::{
     job::requests_from_arrivals, simulate_traced, CostModel, EngineConfig, InvariantChecker,
     JobRequest, RunMetrics, Scheduler, Trace,
@@ -84,6 +87,7 @@ use s3_mapreduce::{
 use s3_sim::SimRng;
 use s3_workloads::{per_node_file, wordcount_normal, Dataset};
 use std::process::ExitCode;
+use std::time::Duration;
 
 const SCHEDULERS: [&str; 5] = ["FIFO", "Fair", "Capacity", "MRShare", "S3"];
 /// Salt separating the workload stream from the fault-plan stream so the
@@ -185,6 +189,23 @@ fn workload_for(seed: u64, dataset: &Dataset) -> Vec<JobRequest> {
     let mut arrivals: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 45.0)).collect();
     arrivals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     requests_from_arrivals(&wordcount_normal(), dataset.file, &arrivals)
+}
+
+/// The scan loop one engine or service fuzz seed runs. A sweep that
+/// alternates picks it from the seed's parity, so no rng draw moves and
+/// every seed's fault plan stays the same: even seeds run the cooperative
+/// loop (`ServerConfig::new`'s default, and the loop every benchmark
+/// workload runs), odd seeds the resilient one at a 3 ms deadline floor.
+/// `--adaptive` and `--assist` sweeps always run resilient.
+fn scan_loop(seed: u64, alternate: bool) -> FtConfig {
+    if alternate && seed.is_multiple_of(2) {
+        FtConfig::default()
+    } else {
+        FtConfig {
+            deadline_floor: Duration::from_millis(3),
+            ..FtConfig::resilient()
+        }
+    }
 }
 
 /// FNV-1a over the serialized trace: the reproducibility fingerprint.
@@ -435,8 +456,8 @@ fn replay_one(seed: u64, cluster: &ClusterTopology, dataset: &Dataset, plan: &Ch
 /// accounting identity, and a run-twice replay proof.
 mod engine_fuzz {
     use s3_engine::{
-        run_job_legacy, AdaptiveConfig, BlockStore, EngineChaosConfig, EngineFault,
-        FaultPlan, FtConfig, Obs, ServerConfig, SharedScanServer,
+        run_job_legacy, AdaptiveConfig, BlockStore, EngineChaosConfig, EngineFault, FaultPlan, Obs,
+        ServerConfig, SharedScanServer,
     };
     use s3_mapreduce::check_engine_events;
     use s3_sim::SimRng;
@@ -464,6 +485,9 @@ mod engine_fuzz {
         cfg: EngineChaosConfig,
         num_segments: u64,
         adaptive: bool,
+        /// The default sweep (neither `--adaptive` nor `--assist`): seeds
+        /// alternate between the two scan loops.
+        alternate: bool,
         solo: BTreeMap<&'static str, BTreeMap<String, i64>>,
     }
 
@@ -525,6 +549,7 @@ mod engine_fuzz {
             cfg,
             num_segments,
             adaptive,
+            alternate: !adaptive && !assist,
             solo,
         }
     }
@@ -591,10 +616,7 @@ mod engine_fuzz {
 
         let mut cfg = ServerConfig::new(BLOCKS_PER_SEGMENT, world.cfg.num_workers);
         cfg.obs = Obs::new();
-        cfg.ft = FtConfig {
-            deadline_floor: Duration::from_millis(3),
-            ..FtConfig::resilient()
-        };
+        cfg.ft = super::scan_loop(seed, world.alternate);
         if world.adaptive {
             cfg.adaptive = AdaptiveConfig {
                 enabled: true,
@@ -777,8 +799,13 @@ mod engine_fuzz {
 
     pub fn replay_one(world: &World, seed: u64) -> bool {
         let plan = plan_for(world, seed);
+        let loop_name = if super::scan_loop(seed, world.alternate).speculation {
+            "resilient"
+        } else {
+            "cooperative"
+        };
         println!(
-            "seed {seed}: {} job(s) over {} segments, fault plan:\n{}",
+            "seed {seed}: {} job(s) over {} segments, {loop_name} scan loop, fault plan:\n{}",
             world.cfg.num_jobs,
             world.num_segments,
             plan.describe()
@@ -825,8 +852,8 @@ mod engine_fuzz {
 /// invariants above must hold on *every* interleaving.
 mod service_fuzz {
     use s3_engine::{
-        run_job_legacy, BlockStore, EngineChaosConfig, FaultPlan, FileSpec, FtConfig,
-        JobError, Obs, QosConfig, ScanService, ServerConfig, ServiceConfig,
+        run_job_legacy, BlockStore, EngineChaosConfig, FaultPlan, FileSpec, JobError, Obs,
+        QosConfig, ScanService, ServerConfig, ServiceConfig,
     };
     use s3_mapreduce::check_engine_events;
     use s3_sim::SimRng;
@@ -918,10 +945,7 @@ mod service_fuzz {
             .map(|((name, store), salt)| {
                 let mut server = ServerConfig::new(BLOCKS_PER_SEGMENT, THREADS);
                 server.obs = Obs::new();
-                server.ft = FtConfig {
-                    deadline_floor: Duration::from_millis(3),
-                    ..FtConfig::resilient()
-                };
+                server.ft = super::scan_loop(seed, true);
                 server.faults = Some(FaultPlan::generate(seed ^ salt, &world.chaos));
                 tenant_obs.push(server.obs.clone());
                 FileSpec {

@@ -12,6 +12,9 @@
 //!   sub-jobs that touch the next segment into one batch per iteration
 //!   (Algorithm 1); partial job initialization submits one merged sub-job
 //!   at a time, with periodic slot checking and dynamic sub-job adjustment.
+//!   The segment arithmetic — cursor, per-job countdown, alignment — is
+//!   `s3_obs::revolution` under its `Shorten` rule, the module the live
+//!   engine's `SharedScanServer` runs under its `Clip` rule.
 //! - [`FifoScheduler`] — Hadoop's default no-sharing FIFO baseline.
 //! - [`MRShareScheduler`] — the file-based shared-scan baseline adapted
 //!   from MRShare: jobs are grouped into batches up front and each batch is

@@ -3,10 +3,13 @@
 //! ## How it maps to the paper
 //!
 //! - **Round-robin data scan** (IV-B): each input file gets a scan state
-//!   holding a circular *block cursor*. Sub-jobs always cover the next run
-//!   of blocks; after the last block the cursor wraps to the first. A job
-//!   admitted mid-scan starts at the cursor and finishes when the cursor
-//!   has swept one full revolution past its entry point.
+//!   holding a [`Revolution`]: a circular block cursor and every queued
+//!   job's blocks still to scan. Sub-jobs always cover the next run of
+//!   blocks, wrapping from the last block to the first. A job admitted
+//!   mid-scan starts at the cursor and finishes when the cursor has swept
+//!   one full revolution past its entry point. The module is the engine's
+//!   too; this scheduler cuts segments by [`Align::Shorten`]: a sub-job
+//!   shrinks to its smallest member's remaining span.
 //! - **Job Queue Manager** (IV-C, Algorithm 1): the set of active jobs per
 //!   file is the Job Queue. Every iteration, all queued jobs that still
 //!   need data are merged into one batch over the next segment — the
@@ -50,6 +53,7 @@ use s3_dfs::{BlockId, FileId};
 use s3_mapreduce::{
     Batch, BatchKey, JobId, MapTaskSpec, Priority, ReduceTaskSpec, SchedCtx, Scheduler,
 };
+use s3_obs::revolution::{Align, Revolution};
 use s3_sim::SimDuration;
 use std::collections::BTreeMap;
 
@@ -127,10 +131,12 @@ pub enum OutputCollection {
 ///
 /// High- and normal-priority jobs are merged into every sub-job as usual.
 /// Low-priority jobs are admitted only while the merged width stays below
-/// the cap; otherwise they are deferred an iteration. Deferral is safe
-/// under the circular scan: a deferred job's missed segments simply come
-/// around again on the next revolution, so it still reads every block
-/// exactly once.
+/// the cap; otherwise they are deferred an iteration. Deferral is exact
+/// only before a job's first sub-job (its revolution then starts later).
+/// A low-priority job deferred after it has started keeps its remaining
+/// count but not a contiguous unseen run, so it re-scans some blocks and
+/// misses others: `s3sim run scenarios/priority.json` reports those as
+/// `scan-coverage` violations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PriorityPolicy {
     /// Maximum merged width (number of jobs) at which low-priority jobs
@@ -160,9 +166,6 @@ struct ActiveJob {
     id: JobId,
     /// Scheduling priority (used only by the priority-aware extension).
     priority: Priority,
-    /// Blocks this job still needs scheduled (starts at the file's block
-    /// count and reaches zero when its circular sweep completes).
-    blocks_remaining: u32,
     /// Sub-job batches containing this job that have not fully completed.
     outstanding_batches: u32,
     /// Sub-jobs created for this job (diagnostics; the paper's "number of
@@ -174,8 +177,10 @@ struct ActiveJob {
 #[derive(Debug)]
 struct ScanState {
     blocks: Vec<BlockId>,
-    /// Index into `blocks` of the next block to schedule.
-    cursor: u32,
+    /// The cursor and each queued job's blocks still to schedule, cut by
+    /// the simulator's rule: a sub-job shrinks to its smallest member's
+    /// remaining span and wraps around the end of the file.
+    rev: Revolution,
     /// The Job Queue: jobs currently being served by this scan.
     queue: Vec<ActiveJob>,
     /// Jobs that finished scanning but still have reduces outstanding.
@@ -287,26 +292,18 @@ impl S3Scheduler {
 
         // Alignment constraint: a sub-job may not overrun any member job's
         // remaining span, otherwise that job would rescan data it already
-        // processed after the cursor wraps past its entry point.
-        let min_remaining = participants
-            .iter()
-            .map(|&i| scan.queue[i].blocks_remaining)
-            .min()
-            .expect("non-empty participant set");
-        debug_assert!(min_remaining > 0, "finished job left in queue");
-        let n = scan.blocks.len() as u32;
-        let take = size.min(min_remaining).min(n);
-
-        // The segment: `take` consecutive blocks from the cursor, circular.
-        let seg_blocks: Vec<BlockId> = (0..take)
-            .map(|i| scan.blocks[((scan.cursor + i) % n) as usize])
-            .collect();
-        scan.cursor = (scan.cursor + take) % n;
-
+        // processed after the cursor wraps past its entry point. The
+        // segment: consecutive blocks from the cursor, circular.
         let jobs: Vec<JobId> = participants.iter().map(|&i| scan.queue[i].id).collect();
+        let seg = scan
+            .rev
+            .next(size as usize, |id| jobs.contains(&JobId(id as u32)));
+        let n = scan.blocks.len();
+        let seg_blocks: Vec<BlockId> = (0..seg.len)
+            .map(|i| scan.blocks[(seg.start + i) % n])
+            .collect();
         for &i in &participants {
             let job = &mut scan.queue[i];
-            job.blocks_remaining -= take;
             job.outstanding_batches += 1;
             job.subjobs_created += 1;
         }
@@ -339,7 +336,7 @@ impl S3Scheduler {
         let (done, still): (Vec<ActiveJob>, Vec<ActiveJob>) = scan
             .queue
             .drain(..)
-            .partition(|j| j.blocks_remaining == 0);
+            .partition(|j| seg.finished.contains(&(j.id.0 as u64)));
         scan.queue = still;
         scan.draining.extend(done);
 
@@ -421,20 +418,19 @@ impl Scheduler for S3Scheduler {
         let req = ctx.jobs.get(job);
         let file = req.file;
         let blocks = ctx.dfs.file(file).blocks.clone();
-        let num_blocks = blocks.len() as u32;
         let scan = self.scans.entry(file).or_insert_with(|| ScanState {
+            rev: Revolution::new(blocks.len(), Align::Shorten),
             blocks,
-            cursor: 0,
             queue: Vec::new(),
             draining: Vec::new(),
             current: None,
         });
         // The job enters the Job Queue at the *next* segment to be
         // scheduled (the cursor): alignment is automatic.
+        scan.rev.admit(job.0 as u64);
         scan.queue.push(ActiveJob {
             id: job,
             priority: req.priority,
-            blocks_remaining: num_blocks,
             outstanding_batches: 0,
             subjobs_created: 0,
         });

@@ -3,11 +3,9 @@
 //! # s3-dfs — simulated HDFS-style block store
 //!
 //! Files are split into fixed-size blocks; blocks are replicated and placed
-//! on cluster nodes by a rack-aware policy. On top of the raw block layout,
-//! this crate provides the **segment** abstraction the S³ paper introduces:
-//! a segment is a run of consecutive blocks sized so that one segment equals
-//! one full wave of map tasks, and segments are scanned in a circular
-//! (round-robin) order so a job may begin at *any* segment.
+//! on cluster nodes by a rack-aware policy. How a scan cuts a file's blocks
+//! into segments is not stored here: the circular scan's segment arithmetic
+//! lives in `s3_obs::revolution`, shared by the simulator and the engine.
 //!
 //! Nothing here does real I/O; the store tracks metadata only, exactly like
 //! the HDFS NameNode view a scheduler sees.
@@ -15,12 +13,10 @@
 pub mod block;
 pub mod file;
 pub mod placement;
-pub mod segment;
 
 pub use block::{BlockId, BlockMeta};
 pub use file::{Dfs, DfsError, FileId, FileMeta};
 pub use placement::{PlacementPolicy, RackAwarePlacement, RoundRobinPlacement};
-pub use segment::{SegmentId, Segmentation};
 
 /// Megabytes as used throughout the workspace (2^20 bytes).
 pub const MB: u64 = 1 << 20;

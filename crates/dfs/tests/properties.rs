@@ -1,109 +1,14 @@
-//! Property-based tests for the block store and segmentation.
+//! Property-based tests for the block store.
 
 use proptest::prelude::*;
 use s3_cluster::{ClusterBuilder, ClusterTopology};
-use s3_dfs::{Dfs, RoundRobinPlacement, SegmentId, Segmentation};
+use s3_dfs::{Dfs, RoundRobinPlacement};
 
 fn small_cluster() -> ClusterTopology {
     ClusterBuilder::new().rack(4).rack(4).rack(2).build()
 }
 
 proptest! {
-    /// Any uniform segmentation covers every block exactly once, in order.
-    #[test]
-    fn uniform_segmentation_partitions_blocks(n in 1u32..5000, m in 1u32..200) {
-        let s = Segmentation::uniform(n, m);
-        prop_assert_eq!(s.num_blocks(), n);
-        let mut covered = Vec::new();
-        for seg in s.segments() {
-            let r = s.blocks_of(seg);
-            prop_assert!(!r.is_empty());
-            prop_assert!(r.end - r.start <= m);
-            covered.extend(r);
-        }
-        prop_assert_eq!(covered, (0..n).collect::<Vec<_>>());
-    }
-
-    /// segment_of() inverts blocks_of() for every block.
-    #[test]
-    fn segment_of_inverts_blocks_of(sizes in prop::collection::vec(1u32..50, 1..40)) {
-        let s = Segmentation::from_sizes(&sizes);
-        for seg in s.segments() {
-            for b in s.blocks_of(seg) {
-                prop_assert_eq!(s.segment_of(b), seg);
-            }
-        }
-    }
-
-    /// The circular scan order from any start is a permutation of all
-    /// segments, starts at `start`, and ends at its predecessor.
-    #[test]
-    fn scan_order_is_a_rotation(n in 1u32..5000, m in 1u32..200, start_raw in 0u32..5000) {
-        let s = Segmentation::uniform(n, m);
-        let k = s.num_segments();
-        let start = SegmentId(start_raw % k);
-        let order: Vec<SegmentId> = s.scan_order(start).collect();
-        prop_assert_eq!(order.len() as u32, k);
-        prop_assert_eq!(order[0], start);
-        prop_assert_eq!(*order.last().unwrap(), s.prev(start));
-        let mut sorted: Vec<u32> = order.iter().map(|x| x.0).collect();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..k).collect::<Vec<_>>());
-        // next() walks the same order.
-        for w in order.windows(2) {
-            prop_assert_eq!(s.next(w[0]), w[1]);
-        }
-    }
-
-    /// Segment count is exactly k = ceil(N/m) (Section IV-B), every
-    /// segment except possibly the last holds exactly m blocks, and the
-    /// last holds the remainder.
-    #[test]
-    fn uniform_segment_count_is_ceil(n in 1u32..5000, m in 1u32..200) {
-        let s = Segmentation::uniform(n, m);
-        let k = n.div_ceil(m);
-        prop_assert_eq!(s.num_segments(), k);
-        for seg in s.segments() {
-            let expect = if seg.0 + 1 < k { m } else { n - m * (k - 1) };
-            prop_assert_eq!(s.segment_len(seg), expect);
-        }
-    }
-
-    /// A segment size of at least the file size collapses to one segment
-    /// spanning the whole file — a single wave scans everything.
-    #[test]
-    fn oversized_segment_is_whole_file(n in 1u32..2000, extra in 0u32..100) {
-        let s = Segmentation::uniform(n, n + extra);
-        prop_assert_eq!(s.num_segments(), 1);
-        prop_assert_eq!(s.blocks_of(SegmentId(0)), 0..n);
-        // Degenerate circular order: the lone segment is its own
-        // successor and predecessor.
-        prop_assert_eq!(s.next(SegmentId(0)), SegmentId(0));
-        prop_assert_eq!(s.prev(SegmentId(0)), SegmentId(0));
-    }
-
-    /// next() and prev() are inverse bijections on any segmentation,
-    /// including variable-size ones from dynamic sub-job adjustment.
-    #[test]
-    fn next_prev_are_inverses(sizes in prop::collection::vec(1u32..50, 1..40)) {
-        let s = Segmentation::from_sizes(&sizes);
-        for seg in s.segments() {
-            prop_assert_eq!(s.prev(s.next(seg)), seg);
-            prop_assert_eq!(s.next(s.prev(seg)), seg);
-        }
-    }
-
-    /// position_from is the inverse index of scan_order.
-    #[test]
-    fn position_from_matches_scan_order(n in 1u32..2000, m in 1u32..100, start_raw in any::<u32>()) {
-        let s = Segmentation::uniform(n, m);
-        let k = s.num_segments();
-        let start = SegmentId(start_raw % k);
-        for (i, seg) in s.scan_order(start).enumerate() {
-            prop_assert_eq!(s.position_from(start, seg), i as u32);
-        }
-    }
-
     /// Files: block sizes sum to the file size, all blocks but the last
     /// are full, replicas are distinct nodes.
     #[test]

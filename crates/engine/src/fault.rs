@@ -19,7 +19,7 @@
 //! a time ([`FaultPlan::without_fault`]).
 //!
 //! Faults that fire at most once (drops, panics, the coordinator kill)
-//! are *armed* per server run via [`ArmedFaults`], so a dropped task is
+//! are *armed* per server run via `ArmedFaults`, so a dropped task is
 //! lost exactly once and the retry path must recover it.
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -350,7 +350,7 @@ impl FaultPlan {
     }
 
     /// Arm the plan for one server run.
-    pub fn arm(&self) -> Arc<ArmedFaults> {
+    pub(crate) fn arm(&self) -> Arc<ArmedFaults> {
         Arc::new(ArmedFaults {
             faults: self.faults.clone(),
             fired: self.faults.iter().map(|_| AtomicBool::new(false)).collect(),
@@ -362,7 +362,7 @@ impl FaultPlan {
 /// panics, the coordinator kill) fire at most once. Queried from the
 /// engine's hot paths; every query is a linear scan over the (tiny) fault
 /// list, and servers without a plan skip the queries entirely.
-pub struct ArmedFaults {
+pub(crate) struct ArmedFaults {
     faults: Vec<EngineFault>,
     fired: Vec<AtomicBool>,
 }

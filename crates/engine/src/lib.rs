@@ -78,15 +78,15 @@ pub use exec::{
     run_job, run_job_legacy, run_merged, run_merged_legacy, run_merged_observed, ExecConfig,
     JobOutput, ScanStats,
 };
-pub use fault::{ArmedFaults, EngineChaosConfig, EngineFault, FaultPlan, FtConfig};
-pub use pool::{BlockClaims, WorkProgress, WorkerPool};
+pub use fault::{EngineChaosConfig, EngineFault, FaultPlan, FtConfig};
+pub use pool::{WorkProgress, WorkerPool};
 pub use retry::RetryPolicy;
 pub use s3_obs::Obs;
 pub use scan_server::{
     AdaptiveConfig, JobHandle, ServerConfig, SharedScanServer, WaitTimeout,
 };
 pub use service::{FileSpec, QosConfig, ScanService, ServiceConfig, ServiceStats};
-pub use store::{BlockStore, FileCatalog, FileId, NonUtf8Block, UnknownFile};
+pub use store::{BlockStore, FileId, UnknownFile};
 pub use types::{
     ConfigError, JobError, JobResult, JobShape, MapReduceJob, PartitionMode, QosClass, RejectReason,
 };

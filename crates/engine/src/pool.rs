@@ -392,7 +392,7 @@ impl WorkProgress {
 /// atomic operations — the single-worker fast path) or a [`WorkProgress`]
 /// shared with sibling workers. Constructed *inside* each broadcast task
 /// so the solo counter never needs to be `Sync`.
-pub enum BlockClaims<'a> {
+pub(crate) enum BlockClaims<'a> {
     /// Private cursor over `0..total`; no coordination.
     Solo {
         /// Next index to hand out.

@@ -80,6 +80,7 @@ use crate::reduce::{
 use crate::store::BlockStore;
 use crate::types::{JobError, JobResult, MapReduceJob, PartitionMode};
 use parking_lot::{Condvar, Mutex};
+use s3_obs::revolution::{Align, Revolution};
 use s3_obs::trace::Ids;
 use s3_obs::{Counter, Gauge, Histogram, Obs, TraceRecorder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -344,24 +345,15 @@ struct ActiveJob<J: MapReduceJob> {
     plan: Arc<Plan>,
     completion: Completion<J::K, J::Out>,
     failure: Arc<JobFailure>,
-    /// Blocks of this job's revolution still to scan (counts down from the
-    /// store's block count). Block-denominated because adaptive resizing
-    /// means segments are not all the same size: each segment consumes
-    /// `min(segment_len, blocks_remaining)` and the job finishes when it
-    /// hits zero — exactly one revolution regardless of how boundaries
-    /// moved while it ran.
-    blocks_remaining: usize,
     /// Segments of this job's own revolution already completed (keys
     /// injected map panics deterministically, independent of admission
-    /// timing).
+    /// timing). Where the revolution stands — the blocks still to scan —
+    /// is the coordinator's [`Revolution`]'s to track.
     segments_done: u64,
-    /// Blocks this job's revolution has actually covered.
-    blocks_seen: u64,
-    /// Bytes this job's revolution has actually covered.
-    bytes_seen: u64,
     /// Submission instant in tracer microseconds (0 when unobserved).
     submitted_us: u64,
-    /// Whether the admission latency has been recorded yet.
+    /// Whether the job has joined the coordinator's [`Revolution`] (and
+    /// its admission latency been recorded).
     admitted: bool,
     /// Absolute deadline: at the first segment boundary past this instant
     /// the job is removed from the scan and its handle resolves to the
@@ -533,10 +525,10 @@ impl ServerConfig {
 struct ServerShared<J: MapReduceJob> {
     store: BlockStore,
     /// Configured blocks-per-segment: the fixed segment size, or the
-    /// initial effective size when adaptive sizing is on. Segments are
-    /// `[cursor, min(cursor + eff, num_blocks))` — computed from a block
-    /// cursor rather than precomputed cuts, so boundaries can move at
-    /// runtime.
+    /// initial effective size when adaptive sizing is on. The coordinator
+    /// asks its [`Revolution`] for segments of the effective size, cut
+    /// from a block cursor by the [`Align::Clip`] rule rather than from
+    /// precomputed boundaries, so the size can move at runtime.
     base_bps: usize,
     /// Adaptive segment sizing parameters.
     adaptive: AdaptiveConfig,
@@ -545,9 +537,6 @@ struct ServerShared<J: MapReduceJob> {
     eff_blocks: AtomicUsize,
     /// Boundary recomputations that changed the effective segment size.
     segment_resizes: AtomicU64,
-    /// Byte prefix sums: blocks `a..b` hold `byte_cuts[b] - byte_cuts[a]`
-    /// bytes — per-job byte accounting without re-touching the data.
-    byte_cuts: Vec<u64>,
     pending: Mutex<Vec<ActiveJob<J>>>,
     wakeup: Condvar,
     shutdown: AtomicBool,
@@ -635,12 +624,6 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
             );
         }
         let num_threads = config.num_threads;
-        let n = store.num_blocks();
-        let mut byte_cuts = Vec::with_capacity(n + 1);
-        byte_cuts.push(0u64);
-        for i in 0..n {
-            byte_cuts.push(byte_cuts[i] + store.block(i).len() as u64);
-        }
         let eff0 = if config.adaptive.enabled {
             config.blocks_per_segment.clamp(
                 config.adaptive.min_blocks_per_segment,
@@ -656,7 +639,6 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
             adaptive: config.adaptive,
             eff_blocks: AtomicUsize::new(eff0),
             segment_resizes: AtomicU64::new(0),
-            byte_cuts,
             pending: Mutex::new(Vec::new()),
             wakeup: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -840,10 +822,7 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
             job: Arc::new(job),
             completion: Completion::with_hook(state, on_resolve),
             failure: Arc::new(OnceLock::new()),
-            blocks_remaining: self.shared.store.num_blocks(),
             segments_done: 0,
-            blocks_seen: 0,
-            bytes_seen: 0,
             submitted_us,
             admitted: false,
             expires_at,
@@ -954,7 +933,10 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
     // per block), the paper's dynamic sub-job adjustment signal. 0.0 means
     // no measurement yet.
     let mut ewma_cost_us = 0.0f64;
-    let mut cursor = 0usize; // next block to scan
+    // The cursor and every admitted job's remaining blocks: Algorithm 1's
+    // arithmetic, cut by the engine's rule (a segment stops at the end of
+    // the file; the wrap happens at the next one).
+    let mut rev = Revolution::new(n, Align::Clip);
     if let Some(o) = &shared.obs {
         o.eff_bps.set(eff as i64);
     }
@@ -1030,6 +1012,7 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
             while i < active.len() {
                 if active[i].expires_at.is_some_and(|t| t <= now) {
                     let expired = active.swap_remove(i);
+                    rev.remove(expired.id);
                     for slot in slots.iter() {
                         slot.lock().retain(|(id, _)| *id != expired.id);
                     }
@@ -1055,30 +1038,27 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
                 o.cadence.record(now.saturating_sub(prev));
             }
             last_seg_start_us = Some(now);
-            // Admission: the job's revolution starts with this segment.
-            for a in active.iter_mut().filter(|a| !a.admitted) {
-                a.admitted = true;
-                o.admission.record(now.saturating_sub(a.submitted_us));
-                o.tracer().instant("admit", Ids::job(a.id).jobs(cursor as u64));
-            }
             o.active_jobs.set(active.len() as i64);
             now
         });
+        // Admission: the job's revolution starts with this segment.
+        for a in active.iter_mut().filter(|a| !a.admitted) {
+            a.admitted = true;
+            rev.admit(a.id);
+            if let (Some(o), Some(now)) = (&shared.obs, seg_t0) {
+                o.admission.record(now.saturating_sub(a.submitted_us));
+                o.tracer()
+                    .instant("admit", Ids::job(a.id).jobs(rev.cursor() as u64));
+            }
+        }
         // This iteration's segment: `eff` blocks from the cursor, clipped
-        // at the end of the file (the wrap happens at the next boundary,
-        // so a segment is always one contiguous block range).
-        let (start, end) = (cursor, (cursor + eff).min(n));
-        let seg_len = end - start;
-        // Per-job scan limit: a job admitted mid-revolution may need fewer
-        // blocks than the segment holds once boundaries have moved — its
-        // unseen region is always the contiguous run starting at `start`,
-        // so capping at `start + min(seg_len, blocks_remaining)` scans
-        // each of its blocks exactly once and never re-scans past its
-        // admission point.
-        let limits: Vec<usize> = active
-            .iter()
-            .map(|a| start + a.blocks_remaining.min(seg_len))
-            .collect();
+        // at the end of the file, so a segment is always one contiguous
+        // block range. `limits[pos]` is the first block job `pos` must not
+        // see: a job whose revolution ends inside the segment takes only
+        // its first blocks, and never re-scans past its admission point.
+        let seg = rev.next(eff, |_| true);
+        let (start, end, seg_len) = (seg.start, seg.start + seg.len, seg.len);
+        let limits: Vec<usize> = active.iter().map(|a| start + seg.take(a.id)).collect();
         // Workers this wave can actually use, for the cost model below.
         let avail_workers = if shared.ft.speculation {
             excluded_until.iter().filter(|e| e.is_none()).count().max(1)
@@ -1103,7 +1083,8 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
         };
         let scan_elapsed_us = scan_t0.elapsed().as_micros() as u64;
         let seg_blocks = seg_len as u64;
-        let seg_bytes = shared.byte_cuts[end] - shared.byte_cuts[start];
+        let offsets = shared.store.block_offsets();
+        let seg_bytes = (offsets[end] - offsets[start]) as u64;
         shared.blocks_scanned.fetch_add(seg_blocks, Ordering::Relaxed);
         shared.iterations.fetch_add(1, Ordering::Relaxed);
         shared.claim_ops.fetch_add(claims.claim_ops, Ordering::Relaxed);
@@ -1135,13 +1116,6 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
             let scanned = shared.blocks_scanned.load(Ordering::Relaxed).max(1);
             o.assist_ratio.set((assisted.saturating_mul(10_000) / scanned) as i64);
         }
-        for (a, &limit) in active.iter_mut().zip(&limits) {
-            let take = limit - start;
-            a.blocks_remaining -= take;
-            a.blocks_seen += take as u64;
-            a.bytes_seen += shared.byte_cuts[limit] - shared.byte_cuts[start];
-        }
-        cursor = end % n;
 
         // Dynamic sub-job adjustment (paper Section IV-B), live: fold this
         // segment's measured cost into the EWMA and re-derive the segment
@@ -1178,6 +1152,7 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
         while i < active.len() {
             if let Some(error) = active[i].failure.get().cloned() {
                 let failed = active.swap_remove(i);
+                rev.remove(failed.id);
                 for slot in slots.iter() {
                     slot.lock().retain(|(id, _)| *id != failed.id);
                 }
@@ -1193,12 +1168,10 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
 
         // Jobs that completed a full revolution: hand their accumulated
         // state to the reduce pool and keep scanning without waiting.
-        // (`blocks_remaining` was decremented above, before the quarantine
-        // sweep could reorder `active` relative to `limits`.)
         let mut i = 0;
         while i < active.len() {
             active[i].segments_done += 1;
-            if active[i].blocks_remaining == 0 {
+            if seg.finished.contains(&active[i].id) {
                 let finished = active.swap_remove(i);
                 finish_job(&slots, &reduce_pool, finished, &shared);
             } else {
@@ -1909,9 +1882,10 @@ fn finish_job<J: MapReduceJob + 'static>(
             parts: (0..nbins).map(|_| Vec::new()).collect(),
         }),
         remaining: AtomicUsize::new(nbins),
+        // A finished job has covered the whole store exactly once.
         stats: ScanStats {
-            blocks_scanned: job.blocks_seen,
-            bytes_scanned: job.bytes_seen,
+            blocks_scanned: shared.store.num_blocks() as u64,
+            bytes_scanned: shared.store.total_bytes() as u64,
             map_output_records,
             reduce_output_records: 0, // filled by `assemble`
         },

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Stable identity of one named file (one [`BlockStore`]) inside a
-/// [`FileCatalog`] — and therefore inside a [`crate::ScanService`].
+/// [`crate::ScanService`]'s file catalog.
 ///
 /// Ids are dense indices assigned at registration and never reused, so a
 /// `FileId` stays valid for the catalog's lifetime. Callers route by this
@@ -58,7 +58,7 @@ impl std::error::Error for UnknownFile {}
 /// of forcing callers to index by construction order and panic on a
 /// mistake.
 #[derive(Debug, Default)]
-pub struct FileCatalog {
+pub(crate) struct FileCatalog {
     names: Vec<String>,
     stores: Vec<BlockStore>,
     index: HashMap<String, FileId>,
@@ -100,16 +100,6 @@ impl FileCatalog {
     /// The name behind an id, if the id belongs to this catalog.
     pub fn name(&self, id: FileId) -> Option<&str> {
         self.names.get(id.index()).map(String::as_str)
-    }
-
-    /// Registered files in id order.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 
     /// Iterate `(id, name, store)` in registration order.
@@ -332,13 +322,13 @@ mod tests {
         assert_eq!(cat.resolve("events"), Ok(events));
         assert_eq!(cat.name(events), Some("events"));
         assert_eq!(cat.store(logs).unwrap().total_bytes(), 4);
-        assert_eq!(cat.len(), 2);
+        assert_eq!(cat.iter().count(), 2);
         let err = cat.resolve("missing").unwrap_err();
         assert_eq!(err.requested, "missing");
         assert!(err.to_string().contains("unknown file"));
         // Duplicate registration reports the existing id and changes nothing.
         assert_eq!(cat.register("logs", BlockStore::new(vec![])), Err(logs));
-        assert_eq!(cat.len(), 2);
+        assert_eq!(cat.iter().count(), 2);
         assert_eq!(cat.store(logs).unwrap().total_bytes(), 4);
         let ids: Vec<_> = cat.iter().map(|(id, name, _)| (id, name.to_string())).collect();
         assert_eq!(ids, vec![(logs, "logs".into()), (events, "events".into())]);

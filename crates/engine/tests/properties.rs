@@ -95,60 +95,6 @@ proptest! {
         prop_assert_eq!(rejoined, text.into_bytes());
     }
 
-    /// The adaptive shared-scan server computes exactly what a solo run
-    /// computes for any corpus, blocking, clamp window, and job set — even
-    /// with a cadence target aggressive enough to force resizes on nearly
-    /// every boundary.
-    #[test]
-    fn adaptive_server_equals_independent(
-        text in corpus(),
-        block_bytes in 8usize..128,
-        prefixes in prop::collection::vec(word(), 1..4),
-        base_bps in 1usize..6,
-        max_bps in 1usize..10,
-        threads in 1usize..4,
-    ) {
-        use s3_engine::{AdaptiveConfig, Obs, ServerConfig, SharedScanServer};
-        use std::time::Duration;
-        let store = BlockStore::from_text(&text, block_bytes);
-        let cfg = ExecConfig { num_threads: 1, num_reducers: 3 };
-        let refs: Vec<_> = prefixes
-            .iter()
-            .map(|p| run_job(&Prefix(p.clone()), &store, &cfg).records)
-            .collect();
-
-        let mut scfg = ServerConfig::new(base_bps, threads);
-        scfg.obs = Obs::new();
-        scfg.adaptive = AdaptiveConfig {
-            enabled: true,
-            // Microsecond cadence over microsecond blocks: the computed
-            // ideal size swings hard, so clamping does real work here.
-            target_cadence: Duration::from_micros(50),
-            min_blocks_per_segment: 1,
-            max_blocks_per_segment: max_bps,
-        };
-        let obs = scfg.obs.clone();
-        let server = SharedScanServer::with_config(store, scfg);
-        let handles = server.submit_all(
-            prefixes.iter().map(|p| Prefix(p.clone())).collect(),
-        );
-        for (h, reference) in handles.into_iter().zip(&refs) {
-            let out = h.wait().expect("no faults injected");
-            prop_assert_eq!(&out.records, reference);
-        }
-        server.shutdown();
-
-        let lo = 1u64;
-        let hi = max_bps.max(1) as u64;
-        let core = obs.core().expect("observed");
-        for ev in core.tracer.drain().iter().filter(|e| e.name == "segment_resized") {
-            prop_assert!(
-                (lo..=hi).contains(&ev.ids.seg),
-                "resize to {} escapes the clamp [{}, {}]", ev.ids.seg, lo, hi
-            );
-        }
-    }
-
     /// A prefix job's output is always a sub-multiset of the catch-all
     /// job's output.
     #[test]

@@ -23,7 +23,11 @@
 //!   subsequent segment until its remaining block count (the `job_done`
 //!   event's reported total) reaches zero — segment spans carry only block
 //!   ranges, so this countdown is what makes shared segments attributable
-//!   to individual jobs;
+//!   to individual jobs. The countdown re-derives the engine's
+//!   [`Align::Clip`](crate::revolution::Align::Clip) rule on its own
+//!   instead of running [`crate::revolution`]: the journal checks traces of
+//!   a coordinator that runs that module, and a checker that ran the same
+//!   arithmetic would agree with any defect in it;
 //! - **reduce** — scan end → terminal instant (reduce-pool queueing plus
 //!   the job's combine/reduce shards, which are also listed individually,
 //!   plus the serial `publish` tail on the last shard's worker, reported

@@ -37,6 +37,11 @@
 //!    a plain `TcpListener`, plus the scrape/parse helpers the `s3top`
 //!    dashboard polls through.
 //!
+//! Beside the telemetry sits the one piece of scheduling both sides share:
+//! [`revolution`], the circular scan's segment arithmetic (Algorithm 1),
+//! which the engine's coordinator and the simulator's S³ scheduler both
+//! run. It has no clock, no threads and no job types.
+//!
 //! The [`Obs`] handle bundles a registry and a recorder behind an
 //! `Option<Arc<_>>`: [`Obs::off()`] is a `None` that instrumented code
 //! checks with one branch, which is what keeps the instrumented-but-off
@@ -62,6 +67,9 @@ pub mod hdr;
 pub mod journal;
 pub mod metrics;
 pub mod prom;
+pub mod revolution;
+#[cfg(test)]
+mod segment;
 pub mod trace;
 
 pub use chrome::{validate_chrome_trace, write_chrome_trace, ChromeEvent};
