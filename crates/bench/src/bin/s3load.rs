@@ -24,8 +24,9 @@
 //!     [--threads N] [--bps N] [--listen ADDR] [--journal PATH] [--out PATH]
 //! ```
 
+use s3_bench::retry::RetryPolicy;
 use s3_engine::{
-    BlockStore, FileId, FileSpec, JobError, Obs, QosClass, QosConfig, RetryPolicy, ScanService,
+    BlockStore, FileId, FileSpec, JobError, Obs, QosClass, QosConfig, ScanService,
     ServerConfig, ServiceConfig, SharedScanServer,
 };
 use s3_obs::hdr::{HdrHistogram, HdrSummary, WindowedHdr, DEFAULT_SUB_BUCKET_BITS};

@@ -21,9 +21,11 @@
 //! downstream tooling.
 
 pub mod ablations;
+pub mod differential;
 pub mod scenario;
 pub mod experiments;
 pub mod report;
+pub mod retry;
 
 pub use experiments::{
     run_examples, run_fig3, run_fig4, run_table1, Fig3Result, Fig4Result, Fig4Variant,

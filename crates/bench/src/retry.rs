@@ -1,7 +1,7 @@
 //! Client-side retry with capped exponential backoff and seeded jitter.
 //!
-//! A [`crate::ScanService`] sheds load with typed
-//! [`JobError::Rejected`](crate::JobError::Rejected) errors; the polite
+//! A [`ScanService`](s3_engine::ScanService) sheds load with typed
+//! [`JobError::Rejected`] errors; the polite
 //! client response is to back off and resubmit. [`RetryPolicy`] packages
 //! the standard policy: exponential growth from a base delay, a hard cap,
 //! and *deterministic* jitter (seeded hash of `(seed, salt, attempt)`)
@@ -9,7 +9,7 @@
 //! thundering herd — while any single run stays exactly reproducible,
 //! which the chaos fuzzer's replay identity relies on.
 
-use crate::types::{JobError, RejectReason};
+use s3_engine::{JobError, RejectReason};
 use std::time::Duration;
 
 /// Capped exponential backoff with seeded jitter.
@@ -112,7 +112,7 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::QosClass;
+    use s3_engine::QosClass;
 
     #[test]
     fn backoff_is_deterministic_capped_and_growing() {

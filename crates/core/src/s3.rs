@@ -130,13 +130,13 @@ pub enum OutputCollection {
 /// Policy of the priority-aware S³ variant.
 ///
 /// High- and normal-priority jobs are merged into every sub-job as usual.
-/// Low-priority jobs are admitted only while the merged width stays below
-/// the cap; otherwise they are deferred an iteration. Deferral is exact
-/// only before a job's first sub-job (its revolution then starts later).
-/// A low-priority job deferred after it has started keeps its remaining
-/// count but not a contiguous unseen run, so it re-scans some blocks and
-/// misses others: `s3sim run scenarios/priority.json` reports those as
-/// `scan-coverage` violations.
+/// The cap decides only whether a low-priority job *starts*: a waiting low
+/// job joins a sub-job only while the merged width stays below the cap,
+/// and is otherwise deferred an iteration (its revolution then starts
+/// later). A job that has ridden once rides every sub-job until it
+/// finishes, whatever its priority, since leaving it out would break its
+/// unseen blocks' single run from the cursor; a started low job counts
+/// toward the width the cap is compared with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PriorityPolicy {
     /// Maximum merged width (number of jobs) at which low-priority jobs
@@ -263,18 +263,20 @@ impl S3Scheduler {
         }
 
         // Select the jobs merged into this sub-job. Baseline S3 merges
-        // everyone in the queue; the priority-aware extension admits
-        // high/normal jobs always and low-priority jobs only while the
-        // merged width stays under the cap (deferred jobs catch the missed
-        // segments on the scan's next revolution).
+        // everyone in the queue; the priority-aware extension merges
+        // high/normal jobs and every started job always, and starts a
+        // waiting low-priority job only while the merged width stays under
+        // the cap.
         let participants: Vec<usize> = match self.config.priority_policy {
             None => (0..scan.queue.len()).collect(),
             Some(policy) => {
+                let waiting_low =
+                    |j: &ActiveJob| j.priority == Priority::Low && j.subjobs_created == 0;
                 let mut chosen: Vec<usize> = (0..scan.queue.len())
-                    .filter(|&i| scan.queue[i].priority >= Priority::Normal)
+                    .filter(|&i| !waiting_low(&scan.queue[i]))
                     .collect();
                 for i in 0..scan.queue.len() {
-                    if scan.queue[i].priority == Priority::Low
+                    if waiting_low(&scan.queue[i])
                         && (chosen.len() as u32) < policy.low_priority_width_cap.max(1)
                     {
                         chosen.push(i);

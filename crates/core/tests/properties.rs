@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use s3_cluster::{ClusterTopology, SlowdownSchedule};
 use s3_core::{FifoScheduler, MRShareScheduler, S3Config, S3Scheduler, SubJobSizing};
 use s3_mapreduce::{
-    job::requests_from_arrivals, simulate, CostModel, EngineConfig, RunMetrics, Scheduler,
+    job::requests_from_arrivals, simulate, simulate_traced, CostModel, EngineConfig,
+    InvariantChecker, RunMetrics, Scheduler, Trace,
 };
 use s3_workloads::wordcount_normal;
 
@@ -138,6 +139,7 @@ proptest! {
         blocks in 80u64..250,
         priorities in prop::collection::vec(0u8..3, 2..6),
         cap in 0u32..4,
+        gap in 1u32..16,
         seed in any::<u64>(),
     ) {
         use s3_core::PriorityPolicy;
@@ -165,35 +167,46 @@ proptest! {
                     1 => Priority::Normal,
                     _ => Priority::High,
                 };
-                (i as f64 * 15.0, prio)
+                (f64::from(gap) * i as f64, prio)
             })
             .collect();
         let workload = requests_with_priorities(&wordcount_normal(), file, &spec);
         let mut sched = S3Scheduler::new(S3Config {
+            // Segments of one wave, so a revolution spans several sub-jobs
+            // and a job can be left out after it has started.
+            sizing: SubJobSizing::FixedBlocks(40),
             priority_policy: Some(PriorityPolicy {
                 low_priority_width_cap: cap,
             }),
             ..S3Config::default()
         });
-        let m = simulate(
+        let config = EngineConfig {
+            seed,
+            ..EngineConfig::default()
+        };
+        let (m, trace) = simulate_traced(
             &cluster,
             &SlowdownSchedule::none(),
             &dfs,
             &CostModel::default(),
             &workload,
             &mut sched,
-            &EngineConfig {
-                seed,
-                ..EngineConfig::default()
-            },
+            &config,
+            Some(Trace::new()),
         )
         .expect("priority runs must not stall");
         prop_assert_eq!(m.outcomes.len(), spec.len());
-        let expected = spec.len() as f64 * (blocks * 64) as f64;
-        prop_assert!(
-            (m.logical_mb_scanned - expected).abs() < 1e-6,
-            "coverage {} vs {}", m.logical_mb_scanned, expected
-        );
+        // Block by block, not the MB total: a block scanned twice and
+        // another never leave the total unchanged.
+        let violations = InvariantChecker {
+            cluster: &cluster,
+            dfs: &dfs,
+            workload: &workload,
+            failures: &config.failures,
+            speculation: false,
+        }
+        .check(&trace);
+        prop_assert!(violations.is_empty(), "cap {cap}: {:?}", &violations[..violations.len().min(3)]);
     }
 
     /// FIFO responses are non-decreasing in submission order whenever the

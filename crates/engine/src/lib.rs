@@ -67,7 +67,6 @@ pub mod fault;
 pub(crate) mod partition;
 pub mod pool;
 pub(crate) mod reduce;
-pub mod retry;
 pub mod scan_server;
 pub mod service;
 pub mod store;
@@ -80,7 +79,6 @@ pub use exec::{
 };
 pub use fault::{EngineChaosConfig, EngineFault, FaultPlan, FtConfig};
 pub use pool::{WorkProgress, WorkerPool};
-pub use retry::RetryPolicy;
 pub use s3_obs::Obs;
 pub use scan_server::{
     AdaptiveConfig, JobHandle, ServerConfig, SharedScanServer, WaitTimeout,

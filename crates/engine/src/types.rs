@@ -111,8 +111,9 @@ impl std::error::Error for ConfigError {}
 ///
 /// Rejections are synchronous and typed: the caller gets the reason back
 /// from `submit` immediately (no handle is created), so a client-side
-/// [`crate::RetryPolicy`] can decide whether resubmitting can ever help
-/// (`QueueFull`/`Overloaded`) or never will (`UnknownFile`).
+/// retry policy (`s3_bench::retry::RetryPolicy`) can decide whether
+/// resubmitting can ever help (`QueueFull`/`Overloaded`) or never will
+/// (`UnknownFile`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// The per-class admission queue for the target file is at capacity.

@@ -83,7 +83,7 @@ fn main() {
         );
     }
 
-    println!("\ntighter caps speed the urgent job; deferred low-priority jobs pick");
-    println!("their missed segments up on the scan's next revolution, so every job");
-    println!("still reads each block exactly once.");
+    println!("\ntighter caps speed the urgent job; a deferred low-priority job starts");
+    println!("its revolution later, and once started it rides every segment, so every");
+    println!("job still reads each block exactly once.");
 }

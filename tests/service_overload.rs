@@ -8,8 +8,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use s3_bench::retry::RetryPolicy;
 use s3_engine::{
-    FileSpec, JobError, MapReduceJob, Obs, QosClass, QosConfig, RejectReason, RetryPolicy,
+    FileSpec, JobError, MapReduceJob, Obs, QosClass, QosConfig, RejectReason,
     ScanService, ServerConfig, ServiceConfig, WaitTimeout,
 };
 use s3_engine::BlockStore;

@@ -90,52 +90,6 @@ fn selection_jobs_share_one_scan_losslessly() {
     }
 }
 
-#[test]
-fn equivalence_is_configuration_independent() {
-    // Outputs must not depend on threads or reducer counts — merged or not.
-    let store = text_store();
-    let job = PatternWordCount::prefix("ba");
-    let reference = run_job(
-        &job,
-        &store,
-        &ExecConfig {
-            num_threads: 1,
-            num_reducers: 1,
-        },
-    );
-    for threads in [2, 8] {
-        for reducers in [3, 16] {
-            let cfg = ExecConfig {
-                num_threads: threads,
-                num_reducers: reducers,
-            };
-            let solo = run_job(&job, &store, &cfg);
-            assert_eq!(solo.records, reference.records, "solo {threads}x{reducers}");
-            let merged = run_merged(&[&job], &store, &cfg);
-            assert_eq!(
-                merged[0].records, reference.records,
-                "merged {threads}x{reducers}"
-            );
-        }
-    }
-}
-
-#[test]
-fn shared_scan_reads_each_byte_once() {
-    let store = text_store();
-    let jobs = [
-        PatternWordCount::prefix("a"),
-        PatternWordCount::prefix("b"),
-        PatternWordCount::prefix("d"),
-    ];
-    let refs: Vec<&PatternWordCount> = jobs.iter().collect();
-    let merged = run_merged(&refs, &store, &ExecConfig::default());
-    for m in &merged {
-        assert_eq!(m.stats.bytes_scanned as usize, store.total_bytes());
-        assert_eq!(m.stats.blocks_scanned as usize, store.num_blocks());
-    }
-}
-
 /// The workload family's own riders through the fan-out kernel: every
 /// pattern kind — `Prefix` of length 0, 1, 2 and past the indexed depth,
 /// the patterns that declare no prefix — at 1, 8 and 65+ riders equals the
